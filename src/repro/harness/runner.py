@@ -21,8 +21,7 @@ execution — duplicate completions are resolved by the store's
 first-durable-write-wins rule with bit-identity verification.
 
 The default store is ``dir:$REPRO_CACHE_DIR`` (default ``.repro-cache/``),
-sharded one-file-per-result; a legacy PR-2 ``results.jsonl`` found there is
-ingested transparently.  Keys cover the full resolved
+sharded one-file-per-result.  Keys cover the full resolved
 :class:`~repro.sim.config.SystemConfig`, workload kwargs, mechanism, seed
 and scale — but NOT the simulator's code, so run ``repro cache gc`` after
 bumping :data:`repro.harness.specs.CACHE_FORMAT_VERSION` (or delete the
@@ -95,11 +94,6 @@ class ExecutionOptions:
     #: process-local sanitizer session).
     sanitize: bool = False
 
-    # Back-compat alias: PR-2 called worker processes "jobs".
-    @property
-    def jobs(self) -> int:
-        return self.workers
-
     def resolved_cache_dir(self) -> Path:
         return Path(
             self.cache_dir
@@ -117,8 +111,7 @@ _OPTION_FIELDS = ("workers", "cache", "cache_dir", "store", "worker_id",
                   "lease_ttl", "sampling", "telemetry", "sanitize")
 
 
-def set_execution_options(jobs: Optional[int] = None,
-                          cache: Optional[bool] = None,
+def set_execution_options(cache: Optional[bool] = None,
                           cache_dir: Optional[str] = None,
                           store: Optional[str] = None,
                           worker_id: Optional[str] = None,
@@ -127,8 +120,6 @@ def set_execution_options(jobs: Optional[int] = None,
                           sampling: Optional[float] = None,
                           telemetry: Optional[str] = None,
                           sanitize: Optional[bool] = None) -> None:
-    if workers is None:
-        workers = jobs
     if workers is not None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -164,7 +155,7 @@ def get_execution_options() -> ExecutionOptions:
 
 
 @contextlib.contextmanager
-def execution_options(jobs: Optional[int] = None, cache: Optional[bool] = None,
+def execution_options(cache: Optional[bool] = None,
                       cache_dir: Optional[str] = None,
                       store: Optional[str] = None,
                       worker_id: Optional[str] = None,
@@ -176,7 +167,7 @@ def execution_options(jobs: Optional[int] = None, cache: Optional[bool] = None,
     """Temporarily override the active execution policy."""
     previous = replace(_OPTIONS)
     try:
-        set_execution_options(jobs=jobs, cache=cache, cache_dir=cache_dir,
+        set_execution_options(cache=cache, cache_dir=cache_dir,
                               store=store, worker_id=worker_id,
                               lease_ttl=lease_ttl, workers=workers,
                               sampling=sampling, telemetry=telemetry,
@@ -428,7 +419,7 @@ def _drain_parallel(store: ResultStore, work: Dict[str, RunSpec],
 # ----------------------------------------------------------------------
 # Sweep execution
 # ----------------------------------------------------------------------
-def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
+def run_specs(specs: Sequence[RunSpec],
               cache: Optional[bool] = None,
               cache_dir: Optional[str] = None,
               store: Optional[str] = None,
@@ -438,12 +429,9 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     """Execute specs (deduplicated) and return results in spec order.
 
     All knobs default to the active :class:`ExecutionOptions` (library
-    default: one worker, no cache).  ``jobs`` is the PR-2 alias for
-    ``workers``.
+    default: one worker, no cache).
     """
     options = get_execution_options()
-    if workers is None:
-        workers = jobs
     workers = options.workers if workers is None else workers
     use_cache = options.cache if cache is None else cache
     worker_id = options.worker_id if worker_id is None else (worker_id or None)
@@ -599,7 +587,7 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
     return statuses
 
 
-def run_sweep(sweep: SweepSpec, jobs: Optional[int] = None,
+def run_sweep(sweep: SweepSpec,
               cache: Optional[bool] = None,
               cache_dir: Optional[str] = None,
               store: Optional[str] = None,
@@ -608,6 +596,6 @@ def run_sweep(sweep: SweepSpec, jobs: Optional[int] = None,
               lease_ttl: Optional[float] = None) -> List[RunResult]:
     """Execute a named sweep; results align with ``sweep.runs`` order."""
     STATS.sweeps.append(sweep.name)
-    return run_specs(sweep.runs, jobs=jobs, cache=cache, cache_dir=cache_dir,
+    return run_specs(sweep.runs, cache=cache, cache_dir=cache_dir,
                      store=store, workers=workers, worker_id=worker_id,
                      lease_ttl=lease_ttl)

@@ -29,10 +29,17 @@ written for throughput first:
   sequence counter needed.
 - ``run`` drains buckets in a tight loop with everything bound to locals,
   paying clock/bookkeeping once per timestamp instead of once per event.
-- Past-scheduling validation is real kernel-misuse detection, but it costs a
-  branch on every scheduling call; it stays on by default (``validate=None``
-  honours the ``REPRO_SIM_VALIDATE`` environment variable) and large
-  production sweeps can construct ``Simulator(validate=False)``.
+  That fast path is one of exactly two drain loops.  The other,
+  ``_drain``, handles ``until``/``max_events``, commits the event counter
+  per timestamp (so the wake log sees live counts) and calls the registered
+  observers (:class:`KernelProfile`, the determinism sanitizer's
+  ``AccessRecorder``) around every callback.  Observers compose: the
+  profile and the sanitizer can watch the same run.
+- Scheduling into the past is kernel misuse and always raises; the check
+  is one int compare per scheduling call.
+- Exception contract (both loops): a callback that started counts as
+  processed and is never re-fired; the un-executed rest of its bucket
+  stays pending, so a caller that catches the error can resume.
 - ``__slots__`` on :class:`Simulator` and :class:`Process` keep the millions
   of attribute accesses on the hot path dict-free.
 
@@ -61,29 +68,15 @@ no-op "burn" event per would-be poll, reproducing the explicit chain's
 event volume.  Comparing the two modes is the determinism check: cycles,
 energy, and every traffic counter must match bit-for-bit; only
 ``events_processed`` (burn events) and ``elided_events`` differ.
-
-:meth:`Simulator.every` registers periodic timers.  A timer constructed
-with a ``skip_hook`` is *elidable*: in eliding mode it never enters the
-bucket queue at all — ``run`` fast-forwards the clock straight between real
-events and accounts each skipped stretch of ticks with one
-``skip_hook(count)`` call (quiescent fast-forward).  The hook must be the
-analytic equivalent of ``count`` callback invocations and must not
-schedule events.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _INFINITY = float("inf")
-
-
-def _default_validate() -> bool:
-    """Validation default: on, unless ``REPRO_SIM_VALIDATE=0`` is exported."""
-    return os.environ.get("REPRO_SIM_VALIDATE", "1") != "0"
 
 
 class SimulationError(RuntimeError):
@@ -122,12 +115,14 @@ class KernelProfile:
 
     Accumulates the wall seconds spent inside :meth:`Simulator.run` and a
     sampled attribution of callbacks to coarse subsystem buckets (every
-    ``sample_every``-th executed event classifies its callback's owning
-    module).  Sampling never touches simulated state, so physics counters
-    stay bit-identical with profiling on or off.
+    ``sample_every``-th started event classifies its callback's owning
+    module).  A drain observer like the sanitizer's recorder; sampling
+    never touches simulated state, so physics counters stay bit-identical
+    with profiling on or off.
     """
 
-    __slots__ = ("sample_every", "wall_seconds", "samples", "_bucket_cache")
+    __slots__ = ("sample_every", "wall_seconds", "samples", "_bucket_cache",
+                 "_countdown")
 
     def __init__(self, sample_every: int = 64):
         if sample_every < 1:
@@ -138,8 +133,15 @@ class KernelProfile:
         self.samples: Dict[str, int] = {}
         #: owner class (or bare function) -> bucket, to skip string work.
         self._bucket_cache: Dict[Any, str] = {}
+        #: events left until the next sample.
+        self._countdown = sample_every
 
-    def sample(self, callback) -> None:
+    # -- drain-observer hooks ------------------------------------------
+    def before_event(self, callback, origin: Optional[int]) -> None:
+        self._countdown -= 1
+        if self._countdown > 0:
+            return
+        self._countdown = self.sample_every
         obj = getattr(callback, "__self__", None)
         key = obj.__class__ if obj is not None else callback
         bucket = self._bucket_cache.get(key)
@@ -147,6 +149,12 @@ class KernelProfile:
             module = getattr(key, "__module__", "") or ""
             bucket = self._bucket_cache[key] = _classify_module(module)
         self.samples[bucket] = self.samples.get(bucket, 0) + 1
+
+    def after_event(self) -> None:
+        pass
+
+    def end_cycle(self, time: int) -> None:
+        pass
 
     def attribution(self) -> Dict[str, float]:
         """Sampled share of executed events per bucket (fractions sum to 1)."""
@@ -296,23 +304,6 @@ class WaitChannel:
         return count
 
 
-class PeriodicTimer:
-    """A recurring tick registered with :meth:`Simulator.every`."""
-
-    __slots__ = ("period", "callback", "skip_hook", "next_due", "cancelled")
-
-    def __init__(self, period: int, callback: Callable[[], None],
-                 skip_hook: Optional[Callable[[int], None]], next_due: int):
-        self.period = period
-        self.callback = callback
-        self.skip_hook = skip_hook
-        self.next_due = next_due
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Simulator:
     """An event-driven simulator with an integer cycle clock.
 
@@ -325,31 +316,23 @@ class Simulator:
     """
 
     __slots__ = ("now", "_times", "_buckets", "_events_processed",
-                 "_running", "_validate", "_elide", "_waiting",
-                 "elided_events", "_timers", "profile", "wake_log",
-                 "sanitizer")
+                 "_elide", "_waiting", "elided_events",
+                 "profile", "wake_log", "sanitizer", "_observers")
 
-    def __init__(self, validate: Optional[bool] = None,
-                 elide_waits: bool = True) -> None:
+    def __init__(self, elide_waits: bool = True) -> None:
         self.now: int = 0
         #: min-heap of distinct pending timestamps (plain ints).
         self._times: List[int] = []
         #: timestamp -> flat event list [cb, args, cb, args, ...].
         self._buckets: Dict[int, list] = {}
         self._events_processed: int = 0
-        self._running: bool = False
-        self._validate: bool = (
-            _default_validate() if validate is None else validate
-        )
-        #: elide wait-channel poll chains and tagged timer ticks (see the
-        #: module docstring); False materializes them as burn events.
+        #: elide wait-channel poll chains (see the module docstring);
+        #: False materializes them as burn events.
         self._elide: bool = elide_waits
         #: waiters currently parked across all channels (diagnostics).
         self._waiting: int = 0
         #: events the kernel accounted for without materializing them.
         self.elided_events: int = 0
-        #: elidable periodic timers serviced by the timer-aware drain.
-        self._timers: List[PeriodicTimer] = []
         #: wall-clock profile (None = off; see :meth:`enable_profile`).
         self.profile: Optional[KernelProfile] = None
         #: wake-event log (None = off; see :meth:`record_wakes`).
@@ -357,6 +340,9 @@ class Simulator:
         #: runtime determinism sanitizer (None = off; see
         #: :meth:`enable_sanitizer`).
         self.sanitizer = None
+        #: drain observers called around every callback by :meth:`_drain`,
+        #: in registration order (the profile and/or the sanitizer).
+        self._observers: Tuple[Any, ...] = ()
 
     @property
     def elide_waits(self) -> bool:
@@ -373,12 +359,14 @@ class Simulator:
     def enable_profile(self, sample_every: int = 64) -> KernelProfile:
         """Turn on the wall-clock profile for subsequent :meth:`run` calls.
 
-        Routes draining through an instrumented loop that measures wall
-        time and samples callback attribution; simulated results are
+        Registers a :class:`KernelProfile` drain observer, so draining goes
+        through :meth:`_drain`; ``run`` measures its wall time and the
+        profile samples callback attribution.  Simulated results are
         unchanged.  Idempotent: re-enabling keeps the existing profile.
         """
         if self.profile is None:
             self.profile = KernelProfile(sample_every)
+            self._observers += (self.profile,)
         return self.profile
 
     def record_wakes(self) -> List[Tuple[int, str, int, int, int, int]]:
@@ -397,15 +385,14 @@ class Simulator:
     def enable_sanitizer(self, recorder=None):
         """Turn on the runtime determinism sanitizer for this simulator.
 
-        Routes draining through a wrapped loop that snapshots every event
-        callback's owner around execution and reduces each cycle's access
-        map to same-cycle ordering hazards (see
+        Registers an access recorder as a drain observer: it snapshots
+        every event callback's owner around execution and reduces each
+        cycle's access map to same-cycle ordering hazards (see
         :mod:`repro.analysis.sanitizer`).  Observational only — simulated
         results are unchanged — but costs a few times wall clock, hence
-        opt-in (``repro run ... --sanitize``).  Idempotent; returns the
-        active recorder.  When both the sanitizer and the profile are
-        enabled the sanitized drain wins and profile samples are not
-        collected.
+        opt-in (``repro run ... --sanitize``).  Composes with
+        :meth:`enable_profile`: both observers watch the same drain.
+        Idempotent; returns the active recorder.
         """
         if self.sanitizer is None:
             if recorder is None:
@@ -420,66 +407,12 @@ class Simulator:
                 recorder = (session.recorder() if session is not None
                             else AccessRecorder())
             self.sanitizer = recorder
+            self._observers += (recorder,)
         return self.sanitizer
 
-    # ------------------------------------------------------------------
-    # Wait-channels and periodic timers
-    # ------------------------------------------------------------------
     def channel(self, name: str = "") -> WaitChannel:
         """A fresh condition object components can block on."""
         return WaitChannel(self, name)
-
-    def every(self, period: int, callback: Callable[[], None], *,
-              skip_hook: Optional[Callable[[int], None]] = None) -> PeriodicTimer:
-        """Register a periodic tick firing every ``period`` cycles.
-
-        Without ``skip_hook`` the ticks are ordinary events: ``callback()``
-        fires each period until :meth:`PeriodicTimer.cancel` — note the
-        chain keeps the queue non-empty, so drive it with ``run(until=...)``
-        or cancel it from an event.
-
-        With ``skip_hook`` the timer is *elidable*: under ``elide_waits``
-        the ticks never enter the queue — ``run`` fast-forwards over them
-        and calls ``skip_hook(count)`` once per skipped stretch, which must
-        account exactly what ``count`` callback invocations would have
-        (and must not schedule events).  Elidable timers do not keep an
-        otherwise-empty simulation alive.  Without ``elide_waits`` the
-        chain is materialized and ``callback`` fires per tick as usual.
-        """
-        if period < 1:
-            raise SimulationError(f"timer period must be >= 1, got {period}")
-        timer = PeriodicTimer(period, callback, skip_hook, self.now + period)
-        if skip_hook is not None and self._elide:
-            self._timers.append(timer)
-        else:
-            self.schedule_at(timer.next_due, self._timer_tick, timer)
-        return timer
-
-    def _timer_tick(self, timer: PeriodicTimer) -> None:
-        """One materialized tick of a non-elided periodic timer."""
-        if timer.cancelled:
-            return
-        timer.callback()
-        if timer.cancelled:
-            return
-        timer.next_due += timer.period
-        self.schedule_at(timer.next_due, self._timer_tick, timer)
-
-    def _skip_due_ticks(self, t: int) -> None:
-        """Account every elidable tick due at or before ``t`` analytically."""
-        pruned = False
-        for timer in self._timers:
-            if timer.cancelled:
-                pruned = True
-                continue
-            due = timer.next_due
-            if due <= t:
-                count = (t - due) // timer.period + 1
-                timer.next_due = due + count * timer.period
-                self.elided_events += count
-                timer.skip_hook(count)
-        if pruned:
-            self._timers = [x for x in self._timers if not x.cancelled]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -491,9 +424,7 @@ class Simulator:
         in this codebase are ints by construction, and the kernel relies on
         that (timestamps are dict keys and heap entries).
         """
-        # The int compare short-circuits first so the common (valid) case
-        # never loads the validation flag.
-        if delay < 0 and self._validate:
+        if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles into the past")
         time = self.now + delay
         try:
@@ -508,7 +439,7 @@ class Simulator:
     def schedule_at(self, time: int, callback: Callable[..., None], *args) -> None:
         """Schedule ``callback(*args)`` to run at absolute cycle ``time``
         (a whole number of cycles; see :meth:`schedule`)."""
-        if time < self.now and self._validate:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )
@@ -553,37 +484,15 @@ class Simulator:
                 exactly ``until`` still execute).
             max_events: safety valve against livelock; raises if exceeded.
         """
-        if self.sanitizer is not None:
-            # Sanitized drain: identical semantics, plus before/after
-            # snapshots around every callback and a per-timestamp hazard
-            # reduction.  Kept out of the fast path so normal runs pay
-            # nothing.
-            self._running = True
-            try:
-                self._drain_sanitized(until, max_events)
-            finally:
-                self._running = False
-            return
-        if self.profile is not None or self.wake_log is not None:
-            # Observability drain: identical semantics, plus wall-clock
-            # measurement / per-bucket counter commits.  Kept out of the
-            # fast path so unprofiled runs pay nothing.
-            self._running = True
-            t0 = perf_counter()
-            try:
-                self._drain_instrumented(until, max_events)
-            finally:
-                if self.profile is not None:
-                    self.profile.wall_seconds += perf_counter() - t0
-                self._running = False
-            return
+        profile = self.profile
+        t0 = perf_counter() if profile is not None else 0.0
         times = self._times
         buckets = self._buckets
         pop = heappop
-        self._running = True
         processed = 0
         try:
-            if until is None and max_events is None and not self._timers:
+            if (until is None and max_events is None and not self._observers
+                    and self.wake_log is None):
                 # Fast path: drain everything.  One clock store and one
                 # bucket teardown per distinct timestamp.  The bucket may
                 # grow while draining (same-cycle scheduling): the list
@@ -591,11 +500,6 @@ class Simulator:
                 # zip-ing an iterator with itself walks (callback, args)
                 # pairs at C speed.
                 while times:
-                    if self._timers:
-                        # An elidable timer appeared mid-run; hand the
-                        # remainder to the timer-aware drain.
-                        self._drain_slow(None, None)
-                        return
                     time = pop(times)
                     self.now = time
                     bucket = buckets[time]
@@ -614,137 +518,29 @@ class Simulator:
                     del buckets[time]
                     processed += count
             else:
-                self._drain_slow(until, max_events)
-        finally:
-            self._running = False
-            self._events_processed += processed
-
-    def _drain_slow(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """The bounded / timer-aware drain loop.
-
-        Handles ``until``/``max_events`` and quiescent fast-forward over
-        elidable periodic timers.  The clock always reaches ``until`` when
-        one is given — whether the queue empties before it or its head is
-        past it (events at exactly ``until`` still execute).
-        """
-        times = self._times
-        buckets = self._buckets
-        pop = heappop
-        bound = _INFINITY if until is None else until
-        limit = _INFINITY if max_events is None else max_events
-        processed = 0
-        try:
-            while times:
-                time = times[0]
-                if time > bound:
-                    break
-                if self._timers:
-                    # Quiescent fast-forward: account every elidable tick
-                    # in the stretch up to the next real event, then jump.
-                    self._skip_due_ticks(time)
-                pop(times)
-                self.now = time
-                bucket = buckets[time]
-                count = 0
-                it = iter(bucket)
-                try:
-                    for callback, args in zip(it, it):
-                        if processed >= limit:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events} at "
-                                f"t={self.now}; likely livelock in a "
-                                "component model"
-                            )
-                        count += 1
-                        callback(*args)
-                        processed += 1
-                except BaseException:
-                    self._park(time, bucket, count * 2)
-                    raise
-                del buckets[time]
-            if until is not None:
-                # Queue drained or its head is past the bound: the clock
-                # still advances to ``until`` in both cases.
-                if self._timers:
-                    self._skip_due_ticks(until)
-                if until > self.now:
-                    self.now = until
+                self._drain(until, max_events)
         finally:
             self._events_processed += processed
+            if profile is not None:
+                profile.wall_seconds += perf_counter() - t0
 
-    def _drain_instrumented(self, until: Optional[int],
-                            max_events: Optional[int]) -> None:
-        """:meth:`_drain_slow` with observability hooks.
+    def _drain(self, until: Optional[int], max_events: Optional[int]) -> None:
+        """The bounded / observed drain loop.
 
-        Two differences, neither visible to simulated state: every
-        ``profile.sample_every``-th callback is classified into an
-        attribution bucket, and ``_events_processed`` is committed per
-        timestamp (instead of once at exit) so that in-run observers —
-        :meth:`WaitChannel.signal` writing the wake log — see live counts.
+        Same semantics as the fast path in :meth:`run`, plus: it stops at
+        ``until`` (events at exactly ``until`` still execute, and the clock
+        reaches ``until`` whether the queue empties before it or its head
+        is past it), raises past ``max_events``, commits
+        ``_events_processed`` per timestamp so in-run readers (the wake log)
+        see live counts, and calls every observer's
+        ``before_event(callback, origin)`` / ``after_event()`` around each
+        callback and ``end_cycle(time)`` after each timestamp — also one
+        cut short by an exception.
         """
         times = self._times
         buckets = self._buckets
         pop = heappop
-        bound = _INFINITY if until is None else until
-        limit = _INFINITY if max_events is None else max_events
-        profile = self.profile
-        stride = profile.sample_every if profile is not None else 0
-        countdown = stride
-        processed = 0
-        while times:
-            time = times[0]
-            if time > bound:
-                break
-            if self._timers:
-                self._skip_due_ticks(time)
-            pop(times)
-            self.now = time
-            bucket = buckets[time]
-            count = 0
-            it = iter(bucket)
-            try:
-                for callback, args in zip(it, it):
-                    if processed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} at "
-                            f"t={self.now}; likely livelock in a "
-                            "component model"
-                        )
-                    count += 1
-                    callback(*args)
-                    processed += 1
-                    if profile is not None:
-                        countdown -= 1
-                        if countdown <= 0:
-                            countdown = stride
-                            profile.sample(callback)
-            except BaseException:
-                self._park(time, bucket, count * 2)
-                self._events_processed += count
-                raise
-            del buckets[time]
-            self._events_processed += count
-        if until is not None:
-            if self._timers:
-                self._skip_due_ticks(until)
-            if until > self.now:
-                self.now = until
-
-    def _drain_sanitized(self, until: Optional[int],
-                         max_events: Optional[int]) -> None:
-        """:meth:`_drain_slow` with determinism-sanitizer hooks.
-
-        Every callback is bracketed by ``recorder.before_event`` /
-        ``after_event`` (owner snapshot diffing) and every drained
-        timestamp ends with ``recorder.end_cycle`` (hazard reduction).
-        Simulated state is untouched; ``_events_processed`` is committed
-        per timestamp like the instrumented drain so in-run observers see
-        live counts.
-        """
-        times = self._times
-        buckets = self._buckets
-        pop = heappop
-        recorder = self.sanitizer
+        observers = self._observers
         bound = _INFINITY if until is None else until
         limit = _INFINITY if max_events is None else max_events
         processed = 0
@@ -752,15 +548,13 @@ class Simulator:
             time = times[0]
             if time > bound:
                 break
-            if self._timers:
-                self._skip_due_ticks(time)
             pop(times)
             self.now = time
             bucket = buckets[time]
             count = 0
             # Same-cycle causality: pairs appended while event k runs were
             # scheduled by it (directly or transitively) — their order
-            # behind k is forced, and the recorder must not flag the pair.
+            # behind k is forced; ``origins[i]`` names that event.
             origins: List[Optional[int]] = [None] * (len(bucket) >> 1)
             it = iter(bucket)
             try:
@@ -771,27 +565,27 @@ class Simulator:
                             f"t={self.now}; likely livelock in a "
                             "component model"
                         )
-                    recorder.before_event(callback, origins[count])
-                    callback(*args)
-                    recorder.after_event()
-                    appended = (len(bucket) >> 1) - len(origins)
-                    if appended:
-                        origins.extend([count] * appended)
+                    for observer in observers:
+                        observer.before_event(callback, origins[count])
                     count += 1
                     processed += 1
+                    callback(*args)
+                    for observer in observers:
+                        observer.after_event()
+                    appended = (len(bucket) >> 1) - len(origins)
+                    if appended:
+                        origins.extend([count - 1] * appended)
             except BaseException:
                 self._park(time, bucket, count * 2)
-                self._events_processed += count
-                recorder.end_cycle(time)
                 raise
-            del buckets[time]
-            self._events_processed += count
-            recorder.end_cycle(time)
-        if until is not None:
-            if self._timers:
-                self._skip_due_ticks(until)
-            if until > self.now:
-                self.now = until
+            else:
+                del buckets[time]
+            finally:
+                self._events_processed += count
+                for observer in observers:
+                    observer.end_cycle(time)
+        if until is not None and until > self.now:
+            self.now = until
 
     def _park(self, time: int, bucket: list, i: int) -> None:
         """Keep only the un-executed tail of a bucket (exception unwinding)."""
@@ -811,16 +605,6 @@ class Simulator:
         # Computed on demand (diagnostics/tests) so the hot paths don't pay
         # a counter update per event.
         return sum(len(bucket) for bucket in self._buckets.values()) >> 1
-
-    @property
-    def _queue(self):  # pragma: no cover - legacy introspection aid
-        """Legacy view of the pending set as (time, index, callback) tuples."""
-        entries = []
-        for time in sorted(self._buckets):
-            bucket = self._buckets[time]
-            for i in range(0, len(bucket), 2):
-                entries.append((time, i >> 1, bucket[i]))
-        return entries
 
 
 class Process:

@@ -171,7 +171,7 @@ class TestKernelTrack:
 
     def test_counter_samples_are_live_not_final(self, tiny_config):
         """Mid-run samples must reflect progress *at the wake*, not the
-        end-of-run totals (the instrumented drain commits per-cycle)."""
+        end-of-run totals (the observed drain commits per-cycle)."""
         system, tracer = spin_run(tiny_config, elide=True)
         events = trace_events(system, tracer, include_cores=False)
         counters = [e for e in events

@@ -1,4 +1,4 @@
-"""Event-elision kernel: wait-channels, fast-forward, and sampling.
+"""Event-elision kernel: wait-channels, exception parking, and sampling.
 
 Four contracts pinned here:
 
@@ -7,7 +7,8 @@ Four contracts pinned here:
    of elided polls, in both kernel modes.
 2. Exception parking — a callback that raises mid-bucket leaves the
    un-executed tail of the queue intact; resuming ``run`` fires each
-   remaining event exactly once and never re-fires the raiser.
+   remaining event exactly once and never re-fires the raiser, with the
+   same ``events_processed`` in every drain mode.
 3. Bit-identity — every RunMetrics counter except the reserved ``kernel.*``
    effort counters is identical with ``elide_waits`` on and off, across
    primitives, structures, topologies, mechanisms, and co-runs.
@@ -116,65 +117,53 @@ def test_wait_validates_delay_and_period():
         ch.wait(lambda polls: None, 5, 0)
 
 
-def test_elidable_timer_accounts_same_ticks_as_explicit():
-    def scenario(elide):
-        sim = Simulator(elide_waits=elide)
-        ticks = [0]
-        sim.every(10, lambda: ticks.__setitem__(0, ticks[0] + 1),
-                  skip_hook=lambda n: ticks.__setitem__(0, ticks[0] + n))
-        sim.schedule(55, lambda: None)  # one real event mid-stream
-        sim.run(until=100)
-        return ticks[0], sim.now
-
-    ticks_on, now_on = scenario(True)
-    ticks_off, now_off = scenario(False)
-    assert now_on == now_off == 100
-    # Fast-forward must account exactly the ticks the explicit timer fires.
-    assert ticks_on == ticks_off > 0
-
-
 # ----------------------------------------------------------------------
 # 2. Exception parking and resume
 # ----------------------------------------------------------------------
-def _park_scenario():
+#: drain mode -> (observers to enable, run() kwargs).  Every mode must
+#: follow the fast path's contract: a callback that started counts as
+#: processed and never re-fires; the rest of its bucket survives for the
+#: resume.
+DRAIN_MODES = {
+    "fast": ((), {}),
+    "until": ((), {"until": 20}),
+    "profiled": (("enable_profile",), {}),
+    "sanitized": (("enable_sanitizer",), {}),
+    "profiled+sanitized": (("enable_profile", "enable_sanitizer"), {}),
+}
+
+
+@pytest.mark.parametrize("mode", list(DRAIN_MODES))
+def test_exception_parks_unexecuted_tail(mode):
+    enables, kwargs = DRAIN_MODES[mode]
     sim = Simulator()
+    for enable in enables:
+        getattr(sim, enable)()
     fired = []
 
     def ok(tag):
         fired.append((sim.now, tag))
 
     def boom():
+        fired.append((sim.now, "boom"))
         raise RuntimeError("boom")
 
     sim.schedule(5, ok, "a")
     sim.schedule(5, boom)
     sim.schedule(5, ok, "b")
     sim.schedule(9, ok, "c")
-    return sim, fired
-
-
-def test_exception_parks_unexecuted_tail_fast_path():
-    sim, fired = _park_scenario()
     with pytest.raises(RuntimeError, match="boom"):
-        sim.run()
-    # Only the event before the raiser executed; the tail survived.
-    assert fired == [(5, "a")]
+        sim.run(**kwargs)
+    # The raiser started, so it counts; only the tail behind it survived.
+    assert fired == [(5, "a"), (5, "boom")]
+    assert sim.events_processed == 2
     assert sim.pending_events == 2
     # Resume: remaining events fire exactly once, the raiser never re-fires.
-    sim.run()
-    assert fired == [(5, "a"), (5, "b"), (9, "c")]
+    sim.run(**kwargs)
+    assert fired == [(5, "a"), (5, "boom"), (5, "b"), (9, "c")]
+    assert sim.events_processed == 4
     assert sim.pending_events == 0
-
-
-def test_exception_parks_unexecuted_tail_slow_path():
-    sim, fired = _park_scenario()
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run(until=20)  # until= forces the slow drain
-    assert fired == [(5, "a")]
-    assert sim.pending_events == 2
-    sim.run(until=20)
-    assert fired == [(5, "a"), (5, "b"), (9, "c")]
-    assert sim.now == 20
+    assert sim.now == kwargs.get("until", 9)
 
 
 def test_exception_park_preserves_wait_channel_wakeups():

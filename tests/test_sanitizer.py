@@ -6,6 +6,8 @@ real synchronization mechanism must come out hazard-free.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.sanitizer import (
@@ -17,6 +19,8 @@ from repro.analysis.sanitizer import (
     sanitizer_active,
 )
 from repro.sim.engine import Simulator
+from repro.sim.system import NDPSystem
+from repro.telemetry import strip_volatile_stats
 from repro.testing import ALL_MECHANISMS, SPIN_MECHANISMS
 from repro.workloads import PrimitiveMicrobench
 from repro.workloads.base import run_workload
@@ -51,10 +55,14 @@ class Accumulator:
         self.total += amount
 
 
-def run_sanitized(*schedules):
-    """Run a fresh simulator under a session; returns the session."""
+def run_sanitized(*schedules, profile=False):
+    """Run a fresh simulator under a session; returns the session.
+
+    With ``profile`` the kernel profile watches the same drain."""
     with sanitize_session() as session:
         sim = Simulator()
+        if profile:
+            sim.enable_profile(sample_every=1)
         sim.enable_sanitizer()
         for time, callback, *args in schedules:
             sim.schedule_at(time, callback, *args)
@@ -278,6 +286,44 @@ class TestSession:
                 tiny_config, "syncron")
         assert sanitized.cycles == plain.cycles
         assert sanitized.operations == plain.operations
+
+
+# ----------------------------------------------------------------------
+# The kernel profile and the sanitizer observe the same drain
+# ----------------------------------------------------------------------
+class TestComposesWithProfile:
+    def test_profile_does_not_change_hazards(self):
+        def schedules(box):
+            return ((5, box.put_a), (5, box.peek), (5, box.put_b))
+
+        alone = run_sanitized(*schedules(Mailbox()))
+        both = run_sanitized(*schedules(Mailbox()), profile=True)
+        assert [h.kind for h in alone.hazards] == ["write-write",
+                                                  "read-write"]
+        assert ([h.as_dict() for h in both.hazards]
+                == [h.as_dict() for h in alone.hazards])
+        assert both.events_observed == alone.events_observed == 3
+
+    def test_system_with_profile_and_sanitizer(self, tiny_config):
+        def lock():
+            return PrimitiveMicrobench("lock", interval=10, rounds=5)
+
+        plain = run_workload(lock, tiny_config, "syncron")
+        with sanitize_session() as alone:
+            run_workload(lock, tiny_config, "syncron")
+        with sanitize_session() as session:
+            system = NDPSystem(tiny_config, mechanism="syncron")
+            profile = system.sim.enable_profile()
+            both = lock().run(system)
+        assert system.sim.sanitizer is session.recorders[0]
+        assert session.events_observed == alone.events_observed > 0
+        assert ([h.as_dict() for h in session.hazards]
+                == [h.as_dict() for h in alone.hazards])
+        assert profile.wall_seconds > 0
+        assert profile.samples
+        # The profile adds only the volatile telemetry.* keys.
+        assert dataclasses.replace(
+            both, stats=strip_volatile_stats(both.stats)) == plain
 
 
 # ----------------------------------------------------------------------

@@ -354,6 +354,20 @@ class TestCli:
         assert "sim.events_processed" in out
         assert "session.start" in out
 
+    def test_sanitized_run_keeps_kernel_profile(self, tmp_path, capsys):
+        """``--sanitize --telemetry``: both observers watch the drain, so
+        the report still carries the kernel's sim.* counters."""
+        tel_dir = tmp_path / "tel"
+        rc = cli.main([
+            "run", "fig10", "--arg", "primitive=lock",
+            "--arg", "intervals=200", "--arg", "mechanisms=central,syncron",
+            "--arg", "rounds=3", "--sanitize", "--telemetry", str(tel_dir),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        assert cli.main(["report", str(tel_dir)]) == 0
+        assert "sim.events_processed" in capsys.readouterr().out
+
     def test_report_empty_dir_exits_2(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 2
 
