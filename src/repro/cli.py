@@ -26,7 +26,7 @@ Each ``run`` target calls the corresponding function in
 drains the figure's simulations through N pull-based worker processes;
 results land in a content-addressed store under ``$REPRO_CACHE_DIR``
 (default ``.repro-cache/``) so re-runs only simulate misses
-(``--no-cache`` disables that, ``--store shared:PATH --worker-id X`` lets
+(``--no-cache`` disables that, ``--store dir:PATH --worker-id X`` lets
 independent invocations on one shared volume cooperate with exactly-once
 execution).  ``sweep`` composes scenario matrices no figure
 hard-codes: any workload set x mechanisms x swept SystemConfig fields;
@@ -601,7 +601,7 @@ def _store_root(args) -> Optional[str]:
         if not sep:
             return url  # bare path
         if rest:
-            return rest  # dir:PATH / shared:PATH
+            return rest  # dir:PATH
         return None  # memory: has no root -> nothing to observe
     return (getattr(args, "cache_dir", None)
             or _os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
@@ -615,7 +615,7 @@ def cmd_top(args) -> int:
     root = _store_root(args)
     if root is None:
         print("top: a memory: store has no on-disk heartbeats to observe; "
-              "point --store at the sweep's dir:/shared: root",
+              "point --store at the sweep's dir: root",
               file=sys.stderr)
         return 2
     once = args.once or not sys.stdout.isatty()
@@ -790,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result-store directory (default $REPRO_CACHE_DIR "
                               "or .repro-cache)")
         cmd.add_argument("--store", default=None, metavar="URL",
-                         help="result-store backend: memory:, dir:PATH, or "
-                              "shared:PATH (default dir:<cache-dir>)")
+                         help="result-store backend: memory: or dir:PATH "
+                              "(default dir:<cache-dir>)")
         cmd.add_argument("--worker-id", default=None, metavar="ID",
                          help="join a cooperative drain under this identity: "
                               "independent invocations (other processes or "
@@ -943,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live progress of a cooperative sweep draining a shared store",
     )
     top.add_argument("--store", default=None, metavar="URL",
-                     help="the sweep's store url (dir:PATH or shared:PATH)")
+                     help="the sweep's store url (dir:PATH)")
     top.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="store directory (default $REPRO_CACHE_DIR or "
                           ".repro-cache)")

@@ -247,9 +247,12 @@ class SyncEngine(ProtocolMixin):
         """
         now = self.sim.now + self._extra
         if self.config.overflow_target == "shared_cache":
-            self.stats.sync_memory_accesses += 2
-            self.stats.extra["llc_sync_accesses"] += 2
-            self.stats.cache_hits += 2
+            stats = self.stats
+            stats.sync_memory_accesses += 2
+            if stats.active is not None:
+                stats.active.sync_memory_accesses += 2
+            stats.extra["llc_sync_accesses"] += 2
+            stats.cache_hits += 2
             self._extra += self.config.shared_cache_hit_cycles
             return
         latency = self.mech.memsys.device_access(

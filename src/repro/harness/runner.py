@@ -15,7 +15,7 @@ whose result already landed in the store, (2) claims one key on the
 the result durably, then releases the lease.  Slow specs therefore never
 serialize a whole chunk behind one worker, a crashed worker's claims
 expire and are re-run by survivors, and N *independent processes or
-hosts* pointed at one shared store (``--store shared:/mnt/x
+hosts* pointed at one shared store (``--store dir:/mnt/x
 --worker-id host1``) drain a matrix cooperatively with exactly-once
 execution — duplicate completions are resolved by the store's
 first-durable-write-wins rule with bit-identity verification.
@@ -48,7 +48,7 @@ from repro.harness.store import (
     Heartbeat,
     LeaseBoard,
     ResultStore,
-    SharedVolumeStore,
+    ShardedDirStore,
     open_store,
 )
 from repro.telemetry import get_telemetry, strip_volatile_stats
@@ -69,7 +69,7 @@ class ExecutionOptions:
     workers: int = 1
     cache: bool = False
     cache_dir: Optional[str] = None
-    #: store url (``memory:`` / ``dir:PATH`` / ``shared:PATH``); None =
+    #: store url (``memory:`` / ``dir:PATH``); None =
     #: a sharded dir store on :meth:`resolved_cache_dir`.
     store: Optional[str] = None
     #: stable identity for cooperative drains across processes/hosts;
@@ -512,7 +512,7 @@ def run_specs(specs: Sequence[RunSpec],
                 # No durable store to coordinate through (cache off, or a
                 # memory store): workers meet in an ephemeral shared dir.
                 scratch_dir = tempfile.mkdtemp(prefix="repro-drain-")
-                drain_store = SharedVolumeStore(scratch_dir)
+                drain_store = ShardedDirStore(scratch_dir)
             base_id = worker_id or f"pid{os.getpid()}"
             if workers > 1:
                 counters = _drain_parallel(drain_store, pending, workers,

@@ -52,7 +52,10 @@ from repro.workloads.unionfind import UnionFindWorkload
 #: v4: the Barabási-Albert generator now inserts each new vertex's edges
 #: in sorted target order (RP002 determinism fix) — every generated graph,
 #: and hence every graph-workload result, changed.
-CACHE_FORMAT_VERSION = 4
+#: v5: elided spin polls (rmw_spin/bakery) now charge ``detour_bit_hops``
+#: on detoured fabrics, and co-run tenants are charged the SE's
+#: shared-cache overflow accesses (``sync_memory_accesses``).
+CACHE_FORMAT_VERSION = 5
 
 #: CLI-friendly aliases for SystemConfig override fields.
 CONFIG_ALIASES = {

@@ -2,7 +2,7 @@
 
 Every completed simulation is stored as ONE immutable object keyed by the
 spec's SHA-256 cache key (:meth:`repro.harness.specs.RunSpec.cache_key`).
-Three backends implement the same :class:`ResultStore` interface:
+Two backends implement the same :class:`ResultStore` interface:
 
 - :class:`MemoryStore` (``memory:``) — a plain dict; tests and throwaway
   sweeps.
@@ -11,11 +11,10 @@ Three backends implement the same :class:`ResultStore` interface:
   Writes are atomic (temp file + ``os.link``), so readers never observe a
   torn entry; a corrupted file is *quarantined* (moved aside and
   recomputed), never a whole-cache loss the way one bad region of a single
-  append-only file would be.
-- :class:`SharedVolumeStore` (``shared:PATH``) — the same layout hardened
-  for concurrent writers from different processes/hosts on one shared
-  volume: per-shard ``flock`` serialization around the publish step plus
-  directory fsyncs so a completed entry is durable before its lease is
+  append-only file would be.  The publish step holds a per-shard ``flock``
+  (lock files under ``locks/``) and fsyncs the shard directory, so
+  concurrent writers from different processes or hosts on one shared
+  volume are safe and a completed entry is durable before its lease is
   released.
 
 Duplicate completion of the same key is resolved deterministically: the
@@ -341,15 +340,6 @@ class ShardedDirStore(ResultStore):
             return True
         return True
 
-    def _dir_sync(self, directory: Path) -> None:
-        """Hook: the shared-volume backend fsyncs directory entries."""
-
-    def _locked_shard(self, shard_dir: Path):
-        """Hook: the shared-volume backend flocks the shard around
-        publish; locally, atomic link is already enough."""
-        import contextlib
-        return contextlib.nullcontext()
-
     def put(self, key: str, body: Dict) -> Dict:
         tel = get_telemetry()
         if not tel.enabled:
@@ -366,6 +356,9 @@ class ShardedDirStore(ResultStore):
         final = self._path(key)
         shard_dir = final.parent
         shard_dir.mkdir(parents=True, exist_ok=True)
+        lock_dir = self.root / LOCKS_DIR
+        lock_dir.mkdir(exist_ok=True)
+        lock = lock_dir / f"{shard_dir.name}.lock"
         fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=shard_dir)
         tmp = Path(tmp_name)
         try:
@@ -374,9 +367,9 @@ class ShardedDirStore(ResultStore):
                 fh.flush()
                 os.fsync(fh.fileno())
             while True:
-                with self._locked_shard(shard_dir):
+                with _flocked(lock):
                     if self._publish(tmp, final):
-                        self._dir_sync(shard_dir)
+                        _fsync_dir(shard_dir)
                         self._memo[key] = record
                         get_telemetry().count("store.publishes")
                         return record
@@ -397,7 +390,7 @@ class ShardedDirStore(ResultStore):
                         # current-version result supersedes an old-version
                         # entry (racing writers produce identical bytes).
                         os.replace(tmp, final)
-                        self._dir_sync(shard_dir)
+                        _fsync_dir(shard_dir)
                         self._memo[key] = record
                         get_telemetry().count("store.publishes")
                         return record
@@ -511,33 +504,18 @@ class ShardedDirStore(ResultStore):
                 "leases_removed": leases_removed}
 
 
-class SharedVolumeStore(ShardedDirStore):
-    """Sharded store hardened for concurrent writers on a shared volume.
-
-    Adds per-shard ``flock`` serialization around the publish step (kept
-    on lock files under ``locks/``, so NFS-style volumes that support
-    POSIX locks serialize racing hosts) and directory fsyncs, so a
-    result is durable on the volume before the runner releases its lease.
-    """
-
-    scheme = "shared"
-
-    def _locked_shard(self, shard_dir: Path):
-        lock_dir = self.root / LOCKS_DIR
-        lock_dir.mkdir(parents=True, exist_ok=True)
-        return _flocked(lock_dir / f"{shard_dir.name}.lock")
-
-    def _dir_sync(self, directory: Path) -> None:
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
+def _fsync_dir(directory: Path) -> None:
+    """Make a directory's new entries durable (best effort)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 class _flocked:
@@ -829,7 +807,6 @@ def read_heartbeats(root: Union[str, Path]) -> List[Dict]:
 STORE_BACKENDS: Dict[str, type] = {
     "memory": MemoryStore,
     "dir": ShardedDirStore,
-    "shared": SharedVolumeStore,
 }
 
 
@@ -837,9 +814,9 @@ def open_store(url: Optional[str] = None,
                directory: Union[str, Path, None] = None) -> ResultStore:
     """Open a result store from a spec string.
 
-    ``url`` forms: ``memory:``, ``dir:PATH``, ``shared:PATH``, or a bare
-    path (treated as ``dir:``).  With no url, a sharded dir store on
-    ``directory`` is opened.
+    ``url`` forms: ``memory:``, ``dir:PATH``, or a bare path (treated as
+    ``dir:``).  With no url, a sharded dir store on ``directory`` is
+    opened.
     """
     if not url:
         if directory is None:

@@ -10,8 +10,8 @@ We reproduce both:
 - :class:`Crossbar` charges arbitration + hop latency plus an analytic M/D/1
   waiting time driven by a windowed estimate of the injected load.
 - :class:`Link` is one reserved physical channel: propagation latency plus
-  serialization at the configured bandwidth, with queueing emerging from
-  the reservation (``next_free``) time.
+  serialization at its bandwidth, with queueing emerging from the
+  reservation (``next_free``) time.  It is timing only.
 
 Which physical channels exist — and which of them a ``src -> dst`` transfer
 crosses — is decided by the pluggable :mod:`repro.sim.topo` fabric named by
@@ -30,16 +30,20 @@ recomputed over the survivors.  The zero-fault, uniform-profile, static
 path is the memoized pristine table — bit-identical to a fabric that has
 none of this machinery.
 
-Both components record traffic into :class:`~repro.sim.stats.SystemStats`
-so the energy model and the Fig. 15 data-movement results need no extra
-hooks; the fabric additionally counts ``link_bit_hops`` (bits x links
-traversed) for per-hop link energy.
+This module alone decides what a transfer charges to
+:class:`~repro.sim.stats.SystemStats` (and the active tenant), so the
+energy model and the Fig. 15 data-movement results need no extra hooks.
+Real transfers are charged inline on the timed path; transfers the event
+kernel elides (spin polls) are charged the same by
+:meth:`Interconnect.charge_elided`.  Besides payload bytes the fabric
+counts ``link_bit_hops`` (bits x links traversed) for per-hop link energy
+and ``detour_bit_hops`` for the links a degraded route adds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.sim.clock import core_cycles_from_ns
 from repro.sim.config import SystemConfig
@@ -109,8 +113,8 @@ class Crossbar:
     """Buffered crossbar inside one NDP unit."""
 
     __slots__ = ("config", "stats", "unit_id", "_load", "_bytes_per_cycle",
-                 "_base_cycles", "_hop_cycles", "_arbiter_cycles",
-                 "_local_hops", "_md1_rate", "_md1_rho", "_md1_denom")
+                 "_base_cycles", "_local_hops", "_md1_rate", "_md1_rho",
+                 "_md1_denom")
 
     def __init__(self, config: SystemConfig, stats: SystemStats, unit_id: int):
         self.config = config
@@ -120,8 +124,6 @@ class Crossbar:
         # Hoisted config reads: these are dataclass attribute chains on the
         # hottest call in the interconnect.
         self._bytes_per_cycle = config.crossbar_bytes_per_cycle
-        self._arbiter_cycles = config.arbiter_cycles
-        self._hop_cycles = config.hop_cycles
         self._local_hops = config.local_hops
         self._base_cycles = config.arbiter_cycles + config.local_hops * config.hop_cycles
         # The M/D/1 utilization terms depend only on the estimator's rate.
@@ -133,24 +135,16 @@ class Crossbar:
         self._md1_rho = 0.0
         self._md1_denom = 2.0
 
-    def traverse(self, now: int, nbytes: int, hops: Optional[int] = None) -> int:
+    def traverse(self, now: int, nbytes: int) -> int:
         """Latency in cycles to move ``nbytes`` across the local crossbar."""
-        if hops is not None and hops < 0:
-            # reject before the load estimator / stats see the packet.
-            raise ValueError(f"hop count must be non-negative, got {hops}")
         self._load.inject(now, nbytes)
         stats = self.stats
         stats.bytes_inside_units += nbytes
+        stats.local_bit_hops += nbytes * 8 * self._local_hops
         tenant = stats.active
         if tenant is not None:
             tenant.bytes_inside_units += nbytes
-        if hops is None:
-            stats.local_bit_hops += nbytes * 8 * self._local_hops
-            base = self._base_cycles
-        else:
-            stats.local_bit_hops += nbytes * 8 * hops
-            base = self._arbiter_cycles + hops * self._hop_cycles
-        return base + self._md1_wait(nbytes)
+        return self._base_cycles + self._md1_wait(nbytes)
 
     def _md1_wait(self, nbytes: int) -> int:
         """M/D/1 mean waiting time: W = rho / (2*mu*(1-rho)).
@@ -170,34 +164,17 @@ class Crossbar:
             self._md1_rate = rate
         return int(self._md1_rho * service / self._md1_denom)
 
-    @property
-    def utilization(self) -> float:
-        return min(self._load.rate() / self._bytes_per_cycle, 1.0)
-
 
 class Link:
-    """One serial physical channel of the inter-unit fabric."""
+    """One serial physical channel of the inter-unit fabric (timing only:
+    :class:`Interconnect` accounts the traffic once per transfer)."""
 
-    __slots__ = ("config", "stats", "_next_free", "_bytes_per_cycle",
-                 "_latency_cycles")
+    __slots__ = ("_next_free", "_bytes_per_cycle", "_latency_cycles")
 
-    def __init__(self, config: SystemConfig, stats: SystemStats,
-                 bytes_per_cycle: Optional[float] = None,
-                 latency_cycles: Optional[int] = None):
-        self.config = config
-        self.stats = stats
+    def __init__(self, bytes_per_cycle: float, latency_cycles: int):
         self._next_free = 0
-        # link_bytes_per_cycle / link_latency_cycles are @property chains on
-        # the config dataclass; resolve them once.  A heterogeneous
-        # link_profile hands individual channels their own values.
-        self._bytes_per_cycle = (
-            config.link_bytes_per_cycle if bytes_per_cycle is None
-            else bytes_per_cycle
-        )
-        self._latency_cycles = (
-            config.link_latency_cycles if latency_cycles is None
-            else latency_cycles
-        )
+        self._bytes_per_cycle = bytes_per_cycle
+        self._latency_cycles = latency_cycles
 
     def queue_delay(self, now: int) -> int:
         """Cycles a packet injected at ``now`` would wait behind earlier
@@ -206,29 +183,14 @@ class Link:
         return wait if wait > 0 else 0
 
     def reserve(self, now: int, nbytes: int) -> int:
-        """Timing only: queue behind earlier packets, serialize, propagate.
+        """Queue behind earlier packets, serialize, propagate.
 
-        The routed fabric calls this once per link on a route; traffic
-        accounting happens once per transfer in :class:`Interconnect`.
+        The routed fabric calls this once per link on a route.
         """
         serialization = max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
         start = max(now, self._next_free)
         self._next_free = start + serialization
         return (start - now) + serialization + self._latency_cycles
-
-    def transfer(self, now: int, nbytes: int) -> int:
-        """Reserve + account (the standalone single-link entry point).
-
-        Keep the accounting here in lockstep with
-        :meth:`Interconnect.remote_latency`, which charges the same
-        counters once per routed transfer.
-        """
-        self.stats.bytes_across_units += nbytes
-        self.stats.link_bit_hops += nbytes * 8
-        tenant = self.stats.active
-        if tenant is not None:
-            tenant.bytes_across_units += nbytes
-        return self.reserve(now, nbytes)
 
 
 class Interconnect:
@@ -238,6 +200,10 @@ class Interconnect:
     each pair's route; this class owns one :class:`Link` per channel (so
     routes that share a channel share its reservation queue) and memoizes
     each ordered pair's route as a tuple of Link objects for the hot path.
+
+    It also owns transfer accounting: :meth:`transfer_latency` charges a
+    real packet while reserving its route, :meth:`charge_elided` charges
+    elided packets the same without reserving anything.
 
     Fault state lives here too: :meth:`fail_link` / :meth:`fail_unit`
     (driven by :meth:`FaultPlan.arm <repro.sim.topo.faults.FaultPlan.arm>`
@@ -320,9 +286,7 @@ class Interconnect:
         link = self._links.get(channel)
         if link is None:
             bytes_per_cycle, latency = self.link_parameters(channel)
-            link = Link(self.config, self.stats,
-                        bytes_per_cycle=bytes_per_cycle,
-                        latency_cycles=latency)
+            link = Link(bytes_per_cycle, latency)
             self._links[channel] = link
         return link
 
@@ -394,21 +358,22 @@ class Interconnect:
                 best, best_wait = candidate, wait
         return best
 
-    def remote_hops(self, src_unit: int, dst_unit: int) -> int:
-        """Physical links a ``src -> dst`` transfer crosses (0 if local).
-
-        On a degraded or adaptive fabric this is the policy's primary
-        route, so analytically-charged (elided) transfers account the same
-        hop count real packets pay.
-        """
-        if src_unit == dst_unit:
-            return 0
+    def _primary(self, src_unit: int, dst_unit: int) -> Tuple[int, int]:
+        """(links, detour links) of a remote pair's primary route: on a
+        degraded or adaptive fabric, the policy's first candidate."""
         if self._degraded or self._adaptive:
             candidates = self._resolved.get((src_unit, dst_unit))
             if candidates is None:
                 candidates = self._resolve((src_unit, dst_unit))
-            return len(candidates[0][0])
-        return self.topology.hops(src_unit, dst_unit)
+            links, extra = candidates[0]
+            return len(links), extra
+        return self.topology.hops(src_unit, dst_unit), 0
+
+    def remote_hops(self, src_unit: int, dst_unit: int) -> int:
+        """Physical links a ``src -> dst`` transfer crosses (0 if local)."""
+        if src_unit == dst_unit:
+            return 0
+        return self._primary(src_unit, dst_unit)[0]
 
     # ------------------------------------------------------------------
     # Fault injection (FaultPlan timers and tests call these directly)
@@ -536,3 +501,31 @@ class Interconnect:
         if src_unit == dst_unit:
             return self.local_latency(src_unit, now, nbytes)
         return self.remote_latency(src_unit, dst_unit, now, nbytes)
+
+    def charge_elided(self, src_unit: int, dst_unit: int, nbytes: int,
+                      count: int) -> None:
+        """Charge ``count`` elided ``src -> dst`` transfers of ``nbytes``.
+
+        The counters (tenant included) end up exactly as ``count`` calls of
+        :meth:`transfer_latency` on the primary route leave them, but no
+        reservation state moves: elided spin polls account their traffic
+        and energy without contending for crossbars or links (see the
+        wait-channel model notes in EXPERIMENTS.md).
+        """
+        payload = nbytes * count
+        if src_unit == dst_unit:
+            inside, across, hops, extra = payload, 0, 0, 0
+        else:
+            # Both endpoint crossbars see the packet; links carry it once.
+            inside, across = 2 * payload, payload
+            hops, extra = self._primary(src_unit, dst_unit)
+        stats = self.stats
+        stats.bytes_inside_units += inside
+        stats.local_bit_hops += inside * 8 * self.config.local_hops
+        stats.bytes_across_units += across
+        stats.link_bit_hops += across * 8 * hops
+        stats.detour_bit_hops += across * 8 * extra
+        tenant = stats.active
+        if tenant is not None:
+            tenant.bytes_inside_units += inside
+            tenant.bytes_across_units += across

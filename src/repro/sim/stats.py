@@ -297,32 +297,3 @@ class SystemStats:
             "st_overflow_requests": self.st_overflow_requests,
             "sync_requests_total": self.sync_requests_total,
         }
-
-
-def charge_elided_transfer(stats: SystemStats, nbytes: int, count: int,
-                           local: bool, local_hops: int, link_hops: int) -> None:
-    """Traffic counters of ``count`` elided transfers of ``nbytes`` each.
-
-    Mirrors what one :meth:`~repro.sim.network.Interconnect.transfer_latency`
-    call charges — source crossbar (+ fabric links + destination crossbar
-    when remote) — without touching any reservation/queueing state: elided
-    spin polls account their traffic and energy analytically but do not
-    contend for banks, links, or crossbar slots (see the wait-channel model
-    notes in EXPERIMENTS.md).
-    """
-    tenant = stats.active
-    payload = nbytes * count
-    if local:
-        stats.bytes_inside_units += payload
-        stats.local_bit_hops += payload * 8 * local_hops
-        if tenant is not None:
-            tenant.bytes_inside_units += payload
-    else:
-        # Both endpoint crossbars see the packet; links carry it once.
-        stats.bytes_inside_units += 2 * payload
-        stats.local_bit_hops += 2 * payload * 8 * local_hops
-        stats.bytes_across_units += payload
-        stats.link_bit_hops += payload * 8 * link_hops
-        if tenant is not None:
-            tenant.bytes_inside_units += 2 * payload
-            tenant.bytes_across_units += payload

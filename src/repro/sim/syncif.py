@@ -152,8 +152,9 @@ class SpinWaitMixin:
     condition with one *real*, fully-charged attempt and re-parks if it
     lost the race, so contention behaviour (thundering herds, hotspot
     queueing at the home unit) is still resolved by real messages — only
-    the provably-futile polls in between are elided, with their traffic
-    and energy charged analytically by the owning mechanism.
+    the provably-futile polls in between are elided.  Their traffic and
+    energy are charged analytically by :meth:`_charge_elided_round_trips`,
+    which leaves the byte counting to ``Interconnect.charge_elided``.
 
     Signalling is conservative: a state change may wake waiters it cannot
     satisfy (spurious wakeups, resolved by the real re-check).  The rule
@@ -182,3 +183,28 @@ class SpinWaitMixin:
 
     def _spin_signal(self, addr: int, tag: str) -> None:
         self._spin_channel(addr, tag).signal()
+
+    def _charge_elided_round_trips(self, core, var: SyncVar, count: int,
+                                   request_bytes: int, response_bytes: int,
+                                   messages: int) -> None:
+        """Analytic traffic/energy of ``count`` elided polls of ``var``.
+
+        Each poll is one round trip to the home unit (``request_bytes`` out,
+        ``response_bytes`` back, ``messages`` sync messages) plus one DRAM
+        read, charged as a row hit since spin polls hammer one open row.
+        No bank, link or crossbar reservation state moves.
+        """
+        stats = self.stats
+        tenant = stats.active = getattr(core, "tstats", None)
+        src, home = core.unit_id, var.unit
+        if src == home:
+            stats.sync_messages_local += messages * count
+        else:
+            stats.sync_messages_global += messages * count
+        self.interconnect.charge_elided(src, home, request_bytes, count)
+        self.interconnect.charge_elided(home, src, response_bytes, count)
+        stats.dram_reads += count
+        stats.dram_row_hits += count
+        stats.sync_memory_accesses += count
+        if tenant is not None:
+            tenant.sync_memory_accesses += count

@@ -52,7 +52,6 @@ from repro.sim.program import (
     SEM_WAIT,
 )
 from repro.sim.memsys import REQUEST_BYTES
-from repro.sim.stats import charge_elided_transfer
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
 
 #: bytes of one word-grain uncacheable access (header + payload).
@@ -177,36 +176,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         self._seq_cycles[core.core_id] = cursor - self.sim.now
         self.sim.schedule_at(cursor, done)
 
-    def _charge_elided_loads(self, core, var: SyncVar, count: int) -> None:
-        """Analytic traffic/energy of ``count`` elided uncacheable loads.
-
-        Mirrors what ``count`` real polls through ``memsys.access`` plus
-        :meth:`_charge_sequence`'s message accounting would charge (request
-        + word response to the home unit, one DRAM read each, charged as
-        row hits), without touching bank/link reservation state.
-        """
-        stats = self.stats
-        stats.active = getattr(core, "tstats", None)
-        tenant = stats.active
-        home = var.unit
-        local = core.unit_id == home
-        if local:
-            stats.sync_messages_local += count
-            link_hops = 0
-        else:
-            stats.sync_messages_global += count
-            link_hops = self.interconnect.remote_hops(core.unit_id, home)
-        local_hops = self.config.local_hops
-        charge_elided_transfer(stats, REQUEST_BYTES, count, local,
-                               local_hops, link_hops)
-        charge_elided_transfer(stats, REQUEST_BYTES + 8, count, local,
-                               local_hops, link_hops)
-        stats.dram_reads += count
-        stats.dram_row_hits += count
-        stats.sync_memory_accesses += count
-        if tenant is not None:
-            tenant.sync_memory_accesses += count
-
     def _set_word(self, var: SyncVar, field: str, value: int) -> None:
         """Write a state word from inside a critical section's observe
         hook, flagging the change so the section signals waiters."""
@@ -323,7 +292,8 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         if rounds:
             self.scan_rounds += rounds
             self.stats.extra["bakery_scans"] += rounds
-            self._charge_elided_loads(core, var, 2 * self._n * rounds)
+            self._charge_elided_round_trips(core, var, 2 * self._n * rounds,
+                                            REQUEST_BYTES, REQUEST_BYTES + 8, 1)
         scan()
 
     def _lock_release(self, core, var, callback) -> None:
@@ -397,7 +367,8 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         """Account ``polls`` elided word loads, then poll once for real."""
         if polls:
             self.stats.extra["bakery_polls"] += polls
-            self._charge_elided_loads(core, var, polls)
+            self._charge_elided_round_trips(core, var, polls, REQUEST_BYTES,
+                                            REQUEST_BYTES + 8, 1)
         poll()
 
     # ------------------------------------------------------------------

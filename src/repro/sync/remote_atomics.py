@@ -58,7 +58,6 @@ from repro.sim.program import (
     SEM_POST,
     SEM_WAIT,
 )
-from repro.sim.stats import charge_elided_transfer
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
 
 #: bytes of an rmw request / response message (address + opcode + operand).
@@ -127,7 +126,8 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     cycle its next backoff-spaced poll would have landed.  The woken core
     issues one real rmw attempt (full traffic, hotspot queueing at the
     home :class:`AtomicUnit`); the elided polls in between are charged
-    analytically by :meth:`_charge_elided_polls`.
+    analytically by
+    :meth:`~repro.sim.syncif.SpinWaitMixin._charge_elided_round_trips`.
     """
 
     name = "rmw_spin"
@@ -219,40 +219,9 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         if polls:
             self.spin_retries += polls
             self.stats.extra["spin_retries"] += polls
-            self._charge_elided_polls(core, var, polls)
+            self._charge_elided_round_trips(core, var, polls, RMW_REQUEST_BYTES,
+                                            RMW_RESPONSE_BYTES, 2)
         attempt()
-
-    def _charge_elided_polls(self, core, var: SyncVar, count: int) -> None:
-        """Analytic traffic/energy of ``count`` elided spin polls.
-
-        Each virtual poll is what one legacy retry issued: an rmw request
-        and response to the home unit plus one controller-side DRAM read
-        (charged as a row hit — spin polls hammer one open row).  Counters
-        and energy match the legacy charge; reservation state (banks,
-        links, crossbar load) is deliberately untouched — see the model
-        notes in EXPERIMENTS.md.
-        """
-        stats = self.stats
-        stats.active = getattr(core, "tstats", None)
-        tenant = stats.active
-        home = var.unit
-        local = core.unit_id == home
-        if local:
-            stats.sync_messages_local += 2 * count
-            link_hops = 0
-        else:
-            stats.sync_messages_global += 2 * count
-            link_hops = self.interconnect.remote_hops(core.unit_id, home)
-        local_hops = self.config.local_hops
-        charge_elided_transfer(stats, RMW_REQUEST_BYTES, count, local,
-                               local_hops, link_hops)
-        charge_elided_transfer(stats, RMW_RESPONSE_BYTES, count, local,
-                               local_hops, link_hops)
-        stats.dram_reads += count
-        stats.dram_row_hits += count
-        stats.sync_memory_accesses += count
-        if tenant is not None:
-            tenant.sync_memory_accesses += count
 
     # ------------------------------------------------------------------
     # Mechanism interface

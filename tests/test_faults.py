@@ -152,6 +152,68 @@ class TestInterconnectFaults:
         assert stats.link_bit_hops == 64 * 8 * 7
 
 
+#: fabrics for the elided-vs-real charging agreement: pristine, severed,
+#: slow-link-avoiding and adaptive multipath.
+CHARGE_FABRICS = {
+    "all_to_all": dict(num_units=8),
+    "ring": dict(num_units=8, topology="ring"),
+    "ring_faulted": dict(num_units=8, topology="ring",
+                         fault_links=((0, 1, 0, 0),)),
+    "ring_degraded": dict(num_units=8, topology="ring",
+                          routing_policy="degraded",
+                          link_profile=((0, 1, 0.05, 4000.0),)),
+    "mesh2d_load_aware": dict(num_units=8, topology="mesh2d",
+                              routing_policy="load_aware"),
+}
+
+
+class TestElidedCharging:
+    """``charge_elided`` charges what the same real transfers charge."""
+
+    TRAFFIC = ("bytes_inside_units", "bytes_across_units", "local_bit_hops",
+               "link_bit_hops", "detour_bit_hops")
+
+    def charged(self, fabric, transfers):
+        cfg = ndp_2_5d(**CHARGE_FABRICS[fabric])
+        stats = SystemStats()
+        inter = Interconnect(cfg, stats)
+        for src, dst, at, _down in cfg.fault_links:
+            inter.fail_link((src, dst), at)
+        stats.active = stats.add_tenant("t")
+        transfers(inter)
+        return stats
+
+    @pytest.mark.parametrize("fabric", sorted(CHARGE_FABRICS))
+    @pytest.mark.parametrize("pair", [(2, 2), (1, 2), (0, 1)],
+                             ids=["local", "one_hop", "detoured"])
+    def test_elided_matches_real_transfers(self, fabric, pair):
+        src, dst = pair
+        nbytes, count = 16, 5
+
+        def real(inter):
+            # spaced out so every packet meets idle links (the primary route)
+            for i in range(count):
+                inter.transfer_latency(src, dst, i * 100_000, nbytes)
+
+        real_stats = self.charged(fabric, real)
+        elided = self.charged(
+            fabric, lambda inter: inter.charge_elided(src, dst, nbytes, count))
+        for field in self.TRAFFIC:
+            assert getattr(elided, field) == getattr(real_stats, field), field
+        for field in ("bytes_inside_units", "bytes_across_units"):
+            assert (getattr(elided.tenants[0], field)
+                    == getattr(real_stats.tenants[0], field)), field
+        if fabric in ("ring_faulted", "ring_degraded") and pair == (0, 1):
+            assert elided.detour_bit_hops > 0
+
+    def test_elided_charge_reserves_nothing(self):
+        cfg = ndp_2_5d(num_units=8, topology="ring")
+        quiet = Interconnect(cfg, SystemStats()).remote_latency(0, 4, 0, 64)
+        inter = Interconnect(cfg, SystemStats())
+        inter.charge_elided(0, 4, 6400, 100)
+        assert inter.remote_latency(0, 4, 0, 64) == quiet
+
+
 class TestLinkProfile:
     def test_profile_shifts_timing_by_the_predicted_delta(self):
         cfg = ndp_2_5d(num_units=4)  # all_to_all: (0, 1) is private

@@ -13,6 +13,8 @@ from repro.core import api
 from repro.sim.config import ndp_2_5d
 from repro.sim.program import Compute
 from repro.sim.system import NDPSystem
+from repro.workloads.corun import CorunWorkload, TenantSpec
+from repro.workloads.datastructures.hashtable import HashTableWorkload
 
 
 def overflow_config(**overrides):
@@ -129,3 +131,22 @@ class TestSharedCacheOverflow:
             _, times[target] = run_many_locks(system, rounds=3)
             assert system.stats.st_overflow_requests == 0
         assert times["memory"] == times["shared_cache"]
+
+    @pytest.mark.parametrize("target", ["memory", "shared_cache"])
+    def test_tenants_are_charged_every_sync_access(self, target):
+        """Co-run tenants split the overflow accesses exactly, whichever
+        structure the syncronVar lives in."""
+        workload = CorunWorkload([
+            TenantSpec("a", HashTableWorkload, units=(0, 1)),
+            TenantSpec("b", HashTableWorkload, units=(2, 3)),
+        ])
+        system = NDPSystem(
+            ndp_2_5d(st_entries=2, overflow_target=target), mechanism="syncron"
+        )
+        workload.run(system)
+        stats = system.stats
+        assert stats.st_overflow_requests > 0
+        assert stats.sync_memory_accesses > 0
+        assert sum(t.sync_memory_accesses for t in stats.tenants) == (
+            stats.sync_memory_accesses
+        )

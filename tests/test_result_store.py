@@ -24,7 +24,6 @@ from repro.harness.store import (
     LeaseBoard,
     MemoryStore,
     ShardedDirStore,
-    SharedVolumeStore,
     StoreError,
     StoreIntegrityError,
     open_store,
@@ -51,12 +50,11 @@ def _specs(mechs=("central", "syncron", "ideal")):
 # ----------------------------------------------------------------------
 # Backend contract (every backend behaves identically at the API level)
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["memory", "dir", "shared"])
+@pytest.fixture(params=["memory", "dir"])
 def store(request, tmp_path):
     if request.param == "memory":
         return MemoryStore()
-    cls = ShardedDirStore if request.param == "dir" else SharedVolumeStore
-    return cls(tmp_path / "store")
+    return ShardedDirStore(tmp_path / "store")
 
 
 class TestStoreContract:
@@ -173,15 +171,21 @@ class TestShardedDir:
         assert not orphan.exists() and fresh_tmp.exists()
 
     def test_stats_shape(self, tmp_path):
-        store = SharedVolumeStore(tmp_path)
+        store = ShardedDirStore(tmp_path)
         for tag in ("a", "b", "c"):
             store.put(_key(tag), _body(1))
         stats = store.stats()
         assert stats["entries"] == 3
-        assert stats["backend"] == "shared"
+        assert stats["backend"] == "dir"
         assert stats["bytes"] > 0
         assert 1 <= stats["shards"] <= 3
         assert stats["quarantined"] == 0 and stats["leases"] == 0
+
+    def test_put_publishes_under_the_shard_lock(self, tmp_path):
+        store = ShardedDirStore(tmp_path)
+        key = _key("a")
+        store.put(key, _body(1))
+        assert (tmp_path / "locks" / f"{key[:2]}.lock").is_file()
 
 
 # ----------------------------------------------------------------------
@@ -228,10 +232,11 @@ class TestLeaseBoard:
 class TestOpenStore:
     def test_schemes(self, tmp_path):
         assert isinstance(open_store("memory:"), MemoryStore)
-        assert isinstance(open_store(f"dir:{tmp_path}"), ShardedDirStore)        # noqa: E501
-        shared = open_store(f"shared:{tmp_path}")
-        assert isinstance(shared, SharedVolumeStore)
-        assert open_store(shared.url()).root == shared.root
+        rooted = open_store(f"dir:{tmp_path}")
+        assert isinstance(rooted, ShardedDirStore)
+        assert open_store(rooted.url()).root == rooted.root
+        with pytest.raises(StoreError):
+            open_store(f"shared:{tmp_path}")  # not a backend scheme
 
     def test_bare_path_is_a_dir_store(self, tmp_path):
         store = open_store(str(tmp_path))
@@ -251,7 +256,7 @@ class TestOpenStore:
 # Concurrent writers (satellite: no lost or torn entries)
 # ----------------------------------------------------------------------
 def _writer_proc(root, items, barrier):
-    store = SharedVolumeStore(root)
+    store = ShardedDirStore(root)
     barrier.wait()
     for key, body in items:
         store.put(key, body)
@@ -280,7 +285,7 @@ class TestConcurrentWriters:
             p.join(timeout=30)
             assert p.exitcode == 0
 
-        store = SharedVolumeStore(root)
+        store = ShardedDirStore(root)
         all_keys = shared_keys + own_a + own_b
         assert sorted(store.keys()) == sorted(all_keys)
         # no torn entries: every file re-hashes clean
@@ -311,7 +316,7 @@ class TestCrashRecovery:
         baseline = run_specs(specs)  # plain single-worker run
 
         root = tmp_path / "store"
-        url = f"shared:{root}"
+        url = f"dir:{root}"
         victim_key = specs[0].cache_key()
         ctx = multiprocessing.get_context("fork")
         claimed = ctx.Event()
@@ -338,7 +343,7 @@ class TestCrashRecovery:
         # still finishes the whole matrix.
         specs = _specs(("central", "syncron"))
         root = tmp_path / "store"
-        store = SharedVolumeStore(root)
+        store = ShardedDirStore(root)
         dead = LeaseBoard(root, ttl=0.01)
         work = {spec.cache_key(): spec for spec in specs}
         for key in work:
@@ -357,7 +362,7 @@ class TestMultiWorkerDrain:
     def test_three_workers_bit_identical_and_exactly_once(self, tmp_path):
         specs = _specs()
         baseline = run_specs(specs)
-        url = f"shared:{tmp_path / 'store'}"
+        url = f"dir:{tmp_path / 'store'}"
         runner_mod.STATS.reset()
         cold = run_specs(specs, workers=3, cache=True, store=url)
         assert cold == baseline
@@ -371,7 +376,7 @@ class TestMultiWorkerDrain:
     def test_worker_id_alone_coordinates_through_the_store(self, tmp_path):
         # two sequential "hosts" with worker ids: the second simulates 0
         specs = _specs(("central", "syncron"))
-        url = f"shared:{tmp_path / 'store'}"
+        url = f"dir:{tmp_path / 'store'}"
         runner_mod.STATS.reset()
         first = run_specs(specs, cache=True, store=url, worker_id="host1")
         assert runner_mod.STATS.executed == len(specs)

@@ -259,17 +259,20 @@ class TestNetwork:
 
     def test_link_adds_latency_and_serialization(self):
         cfg = ndp_2_5d()
+        link = Link(cfg.link_bytes_per_cycle, cfg.link_latency_cycles)
+        latency = link.reserve(0, 64)
+        assert latency > cfg.link_latency_cycles
+        # the fabric charges the payload once for a one-link route.
         stats = SystemStats()
-        link = Link(cfg, stats)
-        latency = link.transfer(0, 64)
-        assert latency >= cfg.link_latency_cycles
+        Interconnect(cfg, stats).transfer_latency(0, 1, 0, 64)
         assert stats.bytes_across_units == 64
+        assert stats.link_bit_hops == 64 * 8
 
     def test_link_queues_back_to_back_transfers(self):
         cfg = ndp_2_5d()
-        link = Link(cfg, SystemStats())
-        first = link.transfer(0, 6400)
-        second = link.transfer(0, 6400)
+        link = Link(cfg.link_bytes_per_cycle, cfg.link_latency_cycles)
+        first = link.reserve(0, 6400)
+        second = link.reserve(0, 6400)
         assert second > first
 
     def test_interconnect_remote_is_slower_than_local(self):

@@ -377,14 +377,14 @@ class TestCli:
             worker="w1", started_at=0.0, phase="execute", executed=1,
             reclaimed=0, completed_elsewhere=0, remaining=2, total=3,
             kernel_events=100, done=False)
-        rc = cli.main(["top", "--store", f"shared:{tmp_path}", "--once"])
+        rc = cli.main(["top", "--store", f"dir:{tmp_path}", "--once"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "w1" in out and "workers @" in out
 
     def test_top_once_missing_root_exits_1(self, tmp_path, capsys):
         rc = cli.main(["top", "--store",
-                       f"shared:{tmp_path}/nothing", "--once"])
+                       f"dir:{tmp_path}/nothing", "--once"])
         assert rc == 1
 
     def test_top_memory_store_exits_2(self, capsys):
