@@ -24,13 +24,14 @@ Each ``run`` target calls the corresponding function in
 :mod:`repro.harness.ablations` and prints its rows as a text table;
 ``--plot`` adds a terminal chart in the figure's shape.  ``--workers N``
 drains the figure's simulations through N pull-based worker processes;
-results land in a content-addressed store under ``$REPRO_CACHE_DIR``
-(default ``.repro-cache/``) so re-runs only simulate misses
-(``--no-cache`` disables that, ``--store dir:PATH --worker-id X`` lets
-independent invocations on one shared volume cooperate with exactly-once
-execution).  ``sweep`` composes scenario matrices no figure
-hard-codes: any workload set x mechanisms x swept SystemConfig fields;
-``cache`` inspects and maintains the store (stats/verify/gc).
+results land in a content-addressed store so re-runs only simulate
+misses.  The store lives in ``--store PATH`` (``dir:PATH`` or a bare
+path), else ``$REPRO_CACHE_DIR``, else ``.repro-cache/``; ``--no-cache``
+disables it, and ``--store dir:PATH --worker-id X`` lets independent
+invocations on one shared volume cooperate with exactly-once execution.
+``sweep`` composes scenario matrices no figure hard-codes: any workload
+set x mechanisms x swept SystemConfig fields; ``cache`` inspects and
+maintains the store (stats/verify/gc).
 """
 
 from __future__ import annotations
@@ -171,12 +172,10 @@ def _runner_options(args) -> Dict:
     return {
         "workers": args.workers,
         "cache": not args.no_cache,
-        "cache_dir": args.cache_dir,
         "store": args.store,
         "worker_id": args.worker_id,
         "lease_ttl": args.lease_ttl,
         "sampling": getattr(args, "sampling", None),
-        "telemetry": getattr(args, "telemetry", None),
         "sanitize": getattr(args, "sanitize", False),
     }
 
@@ -337,8 +336,7 @@ def cmd_sweep(args) -> int:
         return 2
 
     if args.dry_run:
-        with execution_options(cache=not args.no_cache,
-                               cache_dir=args.cache_dir, store=args.store):
+        with execution_options(**_runner_options(args)):
             statuses = probe_specs([spec for _label, spec in labeled])
         rows = [
             {"run": spec.describe(), "status": status}
@@ -554,14 +552,11 @@ def cmd_sample_check(args) -> int:
 # ----------------------------------------------------------------------
 def cmd_cache(args) -> int:
     import json as _json
-    import os as _os
 
-    from repro.harness.store import StoreError, open_store
+    from repro.harness.store import StoreError, locate_store
 
-    url = args.store or "dir:" + str(
-        args.cache_dir or _os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
     try:
-        store = open_store(url)
+        store = locate_store(args.store)
         if args.action == "stats":
             report = store.stats()
         elif args.action == "verify":
@@ -591,32 +586,16 @@ def cmd_cache(args) -> int:
 # ----------------------------------------------------------------------
 # top: live view of an in-flight cooperative sweep
 # ----------------------------------------------------------------------
-def _store_root(args) -> Optional[str]:
-    """Resolve the filesystem root the sweep's heartbeats live under."""
-    import os as _os
-
-    url = getattr(args, "store", None)
-    if url:
-        scheme, sep, rest = url.partition(":")
-        if not sep:
-            return url  # bare path
-        if rest:
-            return rest  # dir:PATH
-        return None  # memory: has no root -> nothing to observe
-    return (getattr(args, "cache_dir", None)
-            or _os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-
-
 def cmd_top(args) -> int:
     import time as _time
 
     from repro.harness import topview
+    from repro.harness.store import StoreError, locate_store
 
-    root = _store_root(args)
-    if root is None:
-        print("top: a memory: store has no on-disk heartbeats to observe; "
-              "point --store at the sweep's dir: root",
-              file=sys.stderr)
+    try:
+        root = locate_store(args.store).root
+    except StoreError as exc:
+        print(f"top: {exc}", file=sys.stderr)
         return 2
     once = args.once or not sys.stdout.isatty()
     try:
@@ -698,15 +677,6 @@ def cmd_report(args) -> int:
                 for k, v in sorted(merged["gauges"].items())]
         print()
         print(format_table(rows, title="gauges"))
-    if merged.get("histograms"):
-        rows = [
-            {"histogram": name, "count": cell["count"], "sum": cell["sum"],
-             "mean_ms": (1e3 * cell["sum"] / cell["count"]
-                         if cell["count"] else 0.0)}
-            for name, cell in sorted(merged["histograms"].items())
-        ]
-        print()
-        print(format_table(rows, title="histograms"))
     if event_counts:
         rows = [{"event": k, "count": v}
                 for k, v in sorted(event_counts.items())]
@@ -771,6 +741,10 @@ def cmd_quickstart(_args) -> int:
     return 0
 
 
+_STORE_HELP = ("result store: dir:PATH or a bare PATH (default "
+               "$REPRO_CACHE_DIR, else .repro-cache)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -786,12 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 1)")
         cmd.add_argument("--no-cache", action="store_true",
                          help="ignore and don't write the on-disk result store")
-        cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="result-store directory (default $REPRO_CACHE_DIR "
-                              "or .repro-cache)")
-        cmd.add_argument("--store", default=None, metavar="URL",
-                         help="result-store backend: memory: or dir:PATH "
-                              "(default dir:<cache-dir>)")
+        cmd.add_argument("--store", default=None, metavar="PATH",
+                         help=_STORE_HELP)
         cmd.add_argument("--worker-id", default=None, metavar="ID",
                          help="join a cooperative drain under this identity: "
                               "independent invocations (other processes or "
@@ -930,11 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "entries and quarantine corruption; gc: drop "
                             "stale-version entries, dead leases, abandoned "
                             "temp files")
-    cache.add_argument("--store", default=None, metavar="URL",
-                       help="store url (default dir:<cache-dir>)")
-    cache.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="store directory (default $REPRO_CACHE_DIR or "
-                            ".repro-cache)")
+    cache.add_argument("--store", default=None, metavar="PATH",
+                       help=_STORE_HELP)
     cache.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
@@ -942,11 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live progress of a cooperative sweep draining a shared store",
     )
-    top.add_argument("--store", default=None, metavar="URL",
-                     help="the sweep's store url (dir:PATH)")
-    top.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="store directory (default $REPRO_CACHE_DIR or "
-                          ".repro-cache)")
+    top.add_argument("--store", default=None, metavar="PATH",
+                     help=_STORE_HELP)
     top.add_argument("--interval", type=float, default=2.0, metavar="SEC",
                      help="refresh interval on a TTY (default 2.0)")
     top.add_argument("--once", action="store_true",

@@ -20,12 +20,14 @@ hosts* pointed at one shared store (``--store dir:/mnt/x
 execution — duplicate completions are resolved by the store's
 first-durable-write-wins rule with bit-identity verification.
 
-The default store is ``dir:$REPRO_CACHE_DIR`` (default ``.repro-cache/``),
-sharded one-file-per-result.  Keys cover the full resolved
-:class:`~repro.sim.config.SystemConfig`, workload kwargs, mechanism, seed
-and scale — but NOT the simulator's code, so run ``repro cache gc`` after
-bumping :data:`repro.harness.specs.CACHE_FORMAT_VERSION` (or delete the
-directory / pass ``--no-cache``) when simulation behaviour changes.
+There is one store backend, a sharded one-file-per-result directory, and
+one resolver for its location, :func:`~repro.harness.store.locate_store`:
+``--store`` if given, else the default directory it documents.  Keys
+cover the full resolved :class:`~repro.sim.config.SystemConfig`, workload
+kwargs, mechanism, seed and scale — but NOT the simulator's code, so run
+``repro cache gc`` after bumping
+:data:`repro.harness.specs.CACHE_FORMAT_VERSION` (or delete the directory
+/ pass ``--no-cache``) when simulation behaviour changes.
 
 Caching defaults OFF for library calls (tests must never observe stale
 physics) and ON in the CLI.
@@ -39,8 +41,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.specs import RunSpec, SweepSpec
@@ -48,7 +49,7 @@ from repro.harness.store import (
     Heartbeat,
     LeaseBoard,
     ResultStore,
-    ShardedDirStore,
+    locate_store,
     open_store,
 )
 from repro.telemetry import get_telemetry, strip_volatile_stats
@@ -68,9 +69,8 @@ class ExecutionOptions:
 
     workers: int = 1
     cache: bool = False
-    cache_dir: Optional[str] = None
-    #: store url (``memory:`` / ``dir:PATH``); None =
-    #: a sharded dir store on :meth:`resolved_cache_dir`.
+    #: store url (``dir:PATH`` or a bare path); None = the default
+    #: location :func:`~repro.harness.store.locate_store` resolves.
     store: Optional[str] = None
     #: stable identity for cooperative drains across processes/hosts;
     #: setting it routes even single-worker runs through the claim
@@ -83,10 +83,6 @@ class ExecutionOptions:
     #: metrics with error bounds.  Forces the cache off and the local
     #: single-worker path — approximations are never stored.
     sampling: Optional[float] = None
-    #: telemetry output directory (``--telemetry DIR``): the CLI enables
-    #: the :mod:`repro.telemetry` bus for the whole command and exports
-    #: the event log + snapshot there.  None = telemetry off (default).
-    telemetry: Optional[str] = None
     #: run the determinism sanitizer (``--sanitize``): simulators record
     #: per-cycle access sets and flag same-cycle ordering hazards.  Forces
     #: the cache off (the debug run must actually execute) and the local
@@ -94,60 +90,33 @@ class ExecutionOptions:
     #: process-local sanitizer session).
     sanitize: bool = False
 
-    def resolved_cache_dir(self) -> Path:
-        return Path(
-            self.cache_dir
-            or os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-        )
-
-    def resolved_store_url(self) -> str:
-        return self.store or f"dir:{self.resolved_cache_dir()}"
-
 
 _OPTIONS = ExecutionOptions()
 
 #: ExecutionOptions fields settable through the helpers below.
-_OPTION_FIELDS = ("workers", "cache", "cache_dir", "store", "worker_id",
-                  "lease_ttl", "sampling", "telemetry", "sanitize")
+_OPTION_FIELDS = frozenset(f.name for f in fields(ExecutionOptions))
+#: optional fields a falsy value turns back off (None).
+_CLEARABLE = frozenset({"store", "worker_id", "sampling"})
 
 
-def set_execution_options(cache: Optional[bool] = None,
-                          cache_dir: Optional[str] = None,
-                          store: Optional[str] = None,
-                          worker_id: Optional[str] = None,
-                          lease_ttl: Optional[float] = None,
-                          workers: Optional[int] = None,
-                          sampling: Optional[float] = None,
-                          telemetry: Optional[str] = None,
-                          sanitize: Optional[bool] = None) -> None:
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        _OPTIONS.workers = workers
-    if cache is not None:
-        _OPTIONS.cache = cache
-    if cache_dir is not None:
-        _OPTIONS.cache_dir = cache_dir
-    if store is not None:
-        _OPTIONS.store = store or None
-    if worker_id is not None:
-        _OPTIONS.worker_id = worker_id or None
-    if lease_ttl is not None:
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be > 0")
-        _OPTIONS.lease_ttl = lease_ttl
-    if sampling is not None:
-        # 0 (or any falsy value) means "turn sampling back off".
-        if not sampling:
-            _OPTIONS.sampling = None
-        else:
-            if not 0.0 < sampling < 1.0:
-                raise ValueError("sampling fraction must be in (0, 1)")
-            _OPTIONS.sampling = float(sampling)
-    if telemetry is not None:
-        _OPTIONS.telemetry = telemetry or None
-    if sanitize is not None:
-        _OPTIONS.sanitize = sanitize
+def set_execution_options(**options) -> None:
+    """Update the active policy; a None value leaves its field unchanged."""
+    unknown = set(options) - _OPTION_FIELDS
+    if unknown:
+        raise TypeError(f"unknown execution option(s): {sorted(unknown)}")
+    options = {k: v for k, v in options.items() if v is not None}
+    if options.get("workers", 1) < 1:
+        raise ValueError("workers must be >= 1")
+    if options.get("lease_ttl", 1) <= 0:
+        raise ValueError("lease_ttl must be > 0")
+    if options.get("sampling"):
+        if not 0.0 < options["sampling"] < 1.0:
+            raise ValueError("sampling fraction must be in (0, 1)")
+        options["sampling"] = float(options["sampling"])
+    for name, value in options.items():
+        if name in _CLEARABLE and not value:
+            value = None
+        setattr(_OPTIONS, name, value)
 
 
 def get_execution_options() -> ExecutionOptions:
@@ -155,23 +124,11 @@ def get_execution_options() -> ExecutionOptions:
 
 
 @contextlib.contextmanager
-def execution_options(cache: Optional[bool] = None,
-                      cache_dir: Optional[str] = None,
-                      store: Optional[str] = None,
-                      worker_id: Optional[str] = None,
-                      lease_ttl: Optional[float] = None,
-                      workers: Optional[int] = None,
-                      sampling: Optional[float] = None,
-                      telemetry: Optional[str] = None,
-                      sanitize: Optional[bool] = None):
+def execution_options(**options):
     """Temporarily override the active execution policy."""
     previous = replace(_OPTIONS)
     try:
-        set_execution_options(cache=cache, cache_dir=cache_dir,
-                              store=store, worker_id=worker_id,
-                              lease_ttl=lease_ttl, workers=workers,
-                              sampling=sampling, telemetry=telemetry,
-                              sanitize=sanitize)
+        set_execution_options(**options)
         yield _OPTIONS
     finally:
         for name in _OPTION_FIELDS:
@@ -313,24 +270,23 @@ def drain(store: ResultStore, board: LeaseBoard,
     Returns this worker's counters (``executed`` / ``reclaimed`` /
     ``completed_elsewhere``).
 
-    Observability: each spec's scan/claim/execute/put phases are telemetry
-    spans, and the worker publishes a heartbeat file next to the
-    LeaseBoard after every state change (``repro top`` tails those).
+    Observability: each spec's scan/claim/execute phases are telemetry
+    spans (the store times its own puts), and the worker publishes a
+    heartbeat file next to the LeaseBoard after every state change
+    (``repro top`` tails those).
     """
     tel = get_telemetry()
     executed = reclaimed = elsewhere = 0
     events_done = 0
     remaining = dict(work)
-    heartbeat = Heartbeat(store.root, worker) if store.root is not None \
-        else None
+    heartbeat = Heartbeat(store.root, worker)
 
     def beat(phase: str, current: Optional[str] = None) -> None:
-        if heartbeat is not None:
-            heartbeat.update(phase=phase, current=current,
-                             total=len(work), remaining=len(remaining),
-                             executed=executed, reclaimed=reclaimed,
-                             completed_elsewhere=elsewhere,
-                             kernel_events=events_done, done=not remaining)
+        heartbeat.update(phase=phase, current=current,
+                         total=len(work), remaining=len(remaining),
+                         executed=executed, reclaimed=reclaimed,
+                         completed_elsewhere=elsewhere,
+                         kernel_events=events_done, done=not remaining)
 
     beat("scan")
     while remaining:
@@ -358,8 +314,7 @@ def drain(store: ResultStore, board: LeaseBoard,
                 if body.get("kind") == "metrics":
                     stats = body["result"].get("stats", {})
                     events_done += int(stats.get("kernel.events_processed", 0))
-                with tel.span("spec.put", key=key[:12]):
-                    store.put(key, _storable(body))
+                store.put(key, _storable(body))
                 executed += 1
                 tel.gauge("sweep.remaining", len(remaining) - 1)
             else:
@@ -419,9 +374,23 @@ def _drain_parallel(store: ResultStore, work: Dict[str, RunSpec],
 # ----------------------------------------------------------------------
 # Sweep execution
 # ----------------------------------------------------------------------
+def _open_result_store(cache: Optional[bool],
+                       store: Optional[str]) -> Optional[ResultStore]:
+    """The store a sweep reads and publishes to; None = cache off.
+
+    Sampled runs are approximations (never stored) and sanitized runs are
+    debug runs that must actually execute (a cache hit would observe
+    nothing), so either one forces the cache off.
+    """
+    options = get_execution_options()
+    use_cache = options.cache if cache is None else cache
+    if not use_cache or options.sampling is not None or options.sanitize:
+        return None
+    return locate_store(options.store if store is None else store)
+
+
 def run_specs(specs: Sequence[RunSpec],
               cache: Optional[bool] = None,
-              cache_dir: Optional[str] = None,
               store: Optional[str] = None,
               workers: Optional[int] = None,
               worker_id: Optional[str] = None,
@@ -433,35 +402,19 @@ def run_specs(specs: Sequence[RunSpec],
     """
     options = get_execution_options()
     workers = options.workers if workers is None else workers
-    use_cache = options.cache if cache is None else cache
     worker_id = options.worker_id if worker_id is None else (worker_id or None)
     lease_ttl = options.lease_ttl if lease_ttl is None else lease_ttl
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if options.sampling is not None:
-        # Sampled runs are approximations: never let them into the durable
-        # store, and keep execution in this process (worker subprocesses
-        # would re-import the module and lose the sampling option).
-        use_cache = False
-        workers = 1
-        worker_id = None
-    if options.sanitize:
-        # Sanitized runs are debug runs: they must actually execute (a
-        # cache hit would observe nothing) and the process-local sanitizer
-        # session is invisible to worker subprocesses.
-        use_cache = False
+    if options.sampling is not None or options.sanitize:
+        # Keep sampled and sanitized runs in this process: worker
+        # subprocesses would re-import the module and lose the sampling
+        # option, and cannot see the process-local sanitizer session.
         workers = 1
         worker_id = None
 
     keys = [spec.cache_key() for spec in specs]
-    result_store: Optional[ResultStore] = None
-    if use_cache:
-        if store is not None:
-            result_store = open_store(store)
-        elif cache_dir is not None:
-            result_store = open_store(directory=cache_dir)
-        else:
-            result_store = open_store(options.resolved_store_url())
+    result_store = _open_result_store(cache, store)
 
     # Deduplicate: identical specs simulate once per sweep.  Hits are
     # materialized eagerly; a record that no longer matches the current
@@ -505,14 +458,12 @@ def run_specs(specs: Sequence[RunSpec],
             STATS.executed += 1
     else:
         scratch_dir = None
+        drain_store = result_store
+        if drain_store is None:
+            # Cache off: the workers still meet in an ephemeral shared dir.
+            scratch_dir = tempfile.mkdtemp(prefix="repro-drain-")
+            drain_store = ResultStore(scratch_dir)
         try:
-            if result_store is not None and result_store.root is not None:
-                drain_store = result_store
-            else:
-                # No durable store to coordinate through (cache off, or a
-                # memory store): workers meet in an ephemeral shared dir.
-                scratch_dir = tempfile.mkdtemp(prefix="repro-drain-")
-                drain_store = ShardedDirStore(scratch_dir)
             base_id = worker_id or f"pid{os.getpid()}"
             if workers > 1:
                 counters = _drain_parallel(drain_store, pending, workers,
@@ -533,13 +484,8 @@ def run_specs(specs: Sequence[RunSpec],
                 except (TypeError, KeyError, ValueError):
                     # another (older) worker wrote a schema we can't read;
                     # recompute locally rather than fail the sweep.
-                    body = execute_spec(spec)
-                    results_by_key[key] = _record_to_result(body)
+                    results_by_key[key] = _record_to_result(execute_spec(spec))
                     STATS.executed += 1
-                    record = None
-                if (record is not None and result_store is not None
-                        and result_store is not drain_store):
-                    result_store.put(key, record)
         finally:
             if scratch_dir is not None:
                 shutil.rmtree(scratch_dir, ignore_errors=True)
@@ -549,26 +495,18 @@ def run_specs(specs: Sequence[RunSpec],
 
 
 def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
-                cache_dir: Optional[str] = None,
                 store: Optional[str] = None) -> List[str]:
     """Classify each spec against the store WITHOUT executing anything.
 
     Returns one status per spec, in order: ``"cached"`` (a valid result is
     already durable), ``"simulate"`` (a cold run would execute it), or
     ``"duplicate"`` (an earlier spec in the sequence shares its cache key).
-    This is the ``sweep --dry-run`` backend; with caching disabled every
-    non-duplicate spec reports ``"simulate"``.
+    This is the ``sweep --dry-run`` backend; it opens the store exactly as
+    :func:`run_specs` does, so with caching disabled — or forced off by
+    sampling or the sanitizer — every non-duplicate spec reports
+    ``"simulate"``.
     """
-    options = get_execution_options()
-    use_cache = options.cache if cache is None else cache
-    result_store: Optional[ResultStore] = None
-    if use_cache:
-        if store is not None:
-            result_store = open_store(store)
-        elif cache_dir is not None:
-            result_store = open_store(directory=cache_dir)
-        else:
-            result_store = open_store(options.resolved_store_url())
+    result_store = _open_result_store(cache, store)
     statuses = []
     seen = set()
     for spec in specs:
@@ -589,13 +527,11 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
 
 def run_sweep(sweep: SweepSpec,
               cache: Optional[bool] = None,
-              cache_dir: Optional[str] = None,
               store: Optional[str] = None,
               workers: Optional[int] = None,
               worker_id: Optional[str] = None,
               lease_ttl: Optional[float] = None) -> List[RunResult]:
     """Execute a named sweep; results align with ``sweep.runs`` order."""
     STATS.sweeps.append(sweep.name)
-    return run_specs(sweep.runs, cache=cache, cache_dir=cache_dir,
-                     store=store, workers=workers, worker_id=worker_id,
-                     lease_ttl=lease_ttl)
+    return run_specs(sweep.runs, cache=cache, store=store, workers=workers,
+                     worker_id=worker_id, lease_ttl=lease_ttl)

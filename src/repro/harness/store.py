@@ -1,21 +1,17 @@
-"""Content-addressed result store: pluggable backends + lease coordination.
+"""Content-addressed result store + lease coordination.
 
 Every completed simulation is stored as ONE immutable object keyed by the
 spec's SHA-256 cache key (:meth:`repro.harness.specs.RunSpec.cache_key`).
-Two backends implement the same :class:`ResultStore` interface:
-
-- :class:`MemoryStore` (``memory:``) — a plain dict; tests and throwaway
-  sweeps.
-- :class:`ShardedDirStore` (``dir:PATH``) — one JSON file per entry under
-  ``objects/<first-2-hex>/<key>.json`` (256-way hash-prefix fan-out).
-  Writes are atomic (temp file + ``os.link``), so readers never observe a
-  torn entry; a corrupted file is *quarantined* (moved aside and
-  recomputed), never a whole-cache loss the way one bad region of a single
-  append-only file would be.  The publish step holds a per-shard ``flock``
-  (lock files under ``locks/``) and fsyncs the shard directory, so
-  concurrent writers from different processes or hosts on one shared
-  volume are safe and a completed entry is durable before its lease is
-  released.
+There is one backend, :class:`ResultStore` (``dir:PATH``): one JSON file
+per entry under ``objects/<first-2-hex>/<key>.json`` (256-way hash-prefix
+fan-out).  Writes are atomic (temp file + ``os.link``), so readers never
+observe a torn entry; a corrupted file is *quarantined* (moved aside and
+recomputed), never a whole-cache loss the way one bad region of a single
+append-only file would be.  The publish step holds a per-shard ``flock``
+(lock files under ``locks/``) and fsyncs the shard directory, so
+concurrent writers from different processes or hosts on one shared volume
+are safe and a completed entry is durable before its lease is released.
+:func:`locate_store` is the one place the store's location is resolved.
 
 Duplicate completion of the same key is resolved deterministically: the
 FIRST durable write wins (``os.link`` onto the final name fails for
@@ -59,7 +55,7 @@ _HEX = set(string.hexdigits.lower())
 
 
 class StoreError(Exception):
-    """Misuse of the store layer (bad key, unknown backend, ...)."""
+    """Misuse of the store layer (bad key, unknown scheme, ...)."""
 
 
 class StoreIntegrityError(StoreError):
@@ -121,132 +117,9 @@ def check_key(key: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Interface
+# The store
 # ----------------------------------------------------------------------
 class ResultStore:
-    """Content-addressed result storage; all backends share this API."""
-
-    scheme: str = "abstract"
-    #: directory a LeaseBoard can coordinate in (None = cannot coordinate
-    #: across processes, e.g. the in-memory backend).
-    root: Optional[Path] = None
-
-    def get(self, key: str) -> Optional[Dict]:
-        """The valid current-version record for ``key``, or None."""
-        raise NotImplementedError
-
-    def put(self, key: str, body: Dict) -> Dict:
-        """Durably publish ``body`` under ``key``; returns the WINNING
-        record (first durable write wins; a racing loser verifies
-        bit-identity and adopts the winner)."""
-        raise NotImplementedError
-
-    def discard(self, key: str) -> None:
-        """Drop ``key``'s entry (e.g. its schema is unreadable to this
-        code version and the caller is about to recompute it)."""
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def url(self) -> str:
-        """A spec string that reopens this store (workers cross process
-        boundaries with it)."""
-        return f"{self.scheme}:{self.root}" if self.root else f"{self.scheme}:"
-
-    # -- maintenance (the `repro cache` surface) -----------------------
-    def stats(self) -> Dict:
-        raise NotImplementedError
-
-    def verify(self) -> Dict:
-        raise NotImplementedError
-
-    def gc(self) -> Dict:
-        raise NotImplementedError
-
-
-class MemoryStore(ResultStore):
-    """Dict-backed store: tests and single-process throwaway sweeps."""
-
-    scheme = "memory"
-
-    def __init__(self):
-        self._records: Dict[str, Dict] = {}
-
-    def get(self, key: str) -> Optional[Dict]:
-        record = self._records.get(check_key(key))
-        if record is None or record_status(record, key) != "ok":
-            get_telemetry().count("store.misses")
-            return None
-        get_telemetry().count("store.hits")
-        return record
-
-    def put(self, key: str, body: Dict) -> Dict:
-        record = normalize_record(check_key(key), body)
-        existing = self._records.get(key)
-        if existing is not None and record_status(existing, key) == "ok":
-            if canonical_bytes(existing) != canonical_bytes(record):
-                raise StoreIntegrityError(
-                    f"duplicate completion of {key} is not bit-identical "
-                    f"to the stored winner"
-                )
-            get_telemetry().count("store.duplicates_verified")
-            return existing
-        self._records[key] = record
-        get_telemetry().count("store.publishes")
-        return record
-
-    def discard(self, key: str) -> None:
-        self._records.pop(check_key(key), None)
-
-    def keys(self) -> Iterator[str]:
-        return iter(list(self._records))
-
-    def stats(self) -> Dict:
-        ok = sum(1 for r in self._records.values()
-                 if record_status(r) == "ok")
-        return {"backend": self.scheme, "entries": ok,
-                "stale": len(self._records) - ok,
-                "bytes": sum(len(canonical_bytes(r))
-                             for r in self._records.values()),
-                "shards": 0, "quarantined": 0}
-
-    def verify(self) -> Dict:
-        ok = stale = 0
-        corrupt: List[str] = []
-        for key, record in list(self._records.items()):
-            status = record_status(record, key)
-            if status == "ok":
-                ok += 1
-            elif status == "stale":
-                stale += 1
-            else:
-                corrupt.append(key)
-                del self._records[key]
-        return {"checked": ok + stale + len(corrupt), "ok": ok,
-                "stale": stale, "corrupt": corrupt,
-                "quarantined": len(corrupt),
-                "quarantine_total": len(corrupt)}
-
-    def gc(self) -> Dict:
-        stale = [k for k, r in self._records.items()
-                 if record_status(r, k) == "stale"]
-        for key in stale:
-            del self._records[key]
-        return {"stale_removed": len(stale), "tmp_removed": 0,
-                "leases_removed": 0}
-
-
-# ----------------------------------------------------------------------
-# Sharded local-directory backend
-# ----------------------------------------------------------------------
-class ShardedDirStore(ResultStore):
     """Hash-prefix sharded directory of one-JSON-file-per-result objects."""
 
     scheme = "dir"
@@ -302,7 +175,19 @@ class ShardedDirStore(ResultStore):
             return None, "corrupt"
         return record, record_status(record, key)
 
+    def url(self) -> str:
+        """A spec string that reopens this store (workers cross process
+        boundaries with it)."""
+        return f"{self.scheme}:{self.root}"
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.keys())
+
+    def __contains__(self, key: str) -> bool:
+        return self.get(key) is not None
+
     def get(self, key: str) -> Optional[Dict]:
+        """The valid current-version record for ``key``, or None."""
         check_key(key)
         memo = self._memo.get(key)
         if memo is not None:
@@ -319,6 +204,8 @@ class ShardedDirStore(ResultStore):
         return None  # missing / stale / corrupt all mean "recompute"
 
     def discard(self, key: str) -> None:
+        """Drop ``key``'s entry (e.g. its schema is unreadable to this
+        code version and the caller is about to recompute it)."""
         self._memo.pop(check_key(key), None)
         try:
             os.unlink(self._path(key))
@@ -341,17 +228,14 @@ class ShardedDirStore(ResultStore):
         return True
 
     def put(self, key: str, body: Dict) -> Dict:
-        tel = get_telemetry()
-        if not tel.enabled:
+        """Durably publish ``body`` under ``key``; returns the WINNING
+        record (first durable write wins; a racing loser verifies
+        bit-identity and adopts the winner)."""
+        with get_telemetry().span("store.put", key=check_key(key)[:12]):
             return self._put(key, body)
-        t0 = time.perf_counter()
-        try:
-            return self._put(key, body)
-        finally:
-            tel.observe("store.publish_seconds", time.perf_counter() - t0)
 
     def _put(self, key: str, body: Dict) -> Dict:
-        record = normalize_record(check_key(key), body)
+        record = normalize_record(key, body)
         data = canonical_bytes(record) + b"\n"
         final = self._path(key)
         shard_dir = final.parent
@@ -800,40 +684,29 @@ def read_heartbeats(root: Union[str, Path]) -> List[Dict]:
 
 
 # ----------------------------------------------------------------------
-# Backend registry / URL opening
+# Opening and locating
 # ----------------------------------------------------------------------
-#: scheme -> backend class; extend to plug in new backends (queue/broker
-#: backends slot in here without touching the runner).
-STORE_BACKENDS: Dict[str, type] = {
-    "memory": MemoryStore,
-    "dir": ShardedDirStore,
-}
-
-
-def open_store(url: Optional[str] = None,
-               directory: Union[str, Path, None] = None) -> ResultStore:
-    """Open a result store from a spec string.
-
-    ``url`` forms: ``memory:``, ``dir:PATH``, or a bare path (treated as
-    ``dir:``).  With no url, a sharded dir store on ``directory`` is
-    opened.
-    """
+def open_store(url: Optional[str] = None) -> ResultStore:
+    """Open a result store from a spec string: ``dir:PATH`` or a bare path."""
     if not url:
-        if directory is None:
-            raise StoreError("open_store needs a url or a directory")
-        return ShardedDirStore(directory)
+        raise StoreError("open_store needs a url (locate_store resolves "
+                         "the default location)")
     scheme, sep, rest = url.partition(":")
-    if scheme not in STORE_BACKENDS:
-        if sep:
-            raise StoreError(
-                f"unknown store scheme {scheme!r}; choose from "
-                f"{sorted(STORE_BACKENDS)}"
-            )
-        scheme, rest = "dir", url  # bare path
-    cls = STORE_BACKENDS[scheme]
-    if cls is MemoryStore:
-        return MemoryStore()
-    target = rest or directory
-    if not target:
-        raise StoreError(f"store url {url!r} needs a path, e.g. {scheme}:PATH")
-    return cls(target)
+    if not sep:
+        return ResultStore(url)  # bare path
+    if scheme != ResultStore.scheme:
+        raise StoreError(f"unknown store scheme {scheme!r}; use dir:PATH "
+                         f"or a bare path")
+    if not rest:
+        raise StoreError(f"store url {url!r} needs a path, e.g. dir:PATH")
+    return ResultStore(rest)
+
+
+def locate_store(url: Optional[str] = None) -> ResultStore:
+    """The one resolver of the store's location.
+
+    ``url`` if given, else ``$REPRO_CACHE_DIR``, else ``.repro-cache``.
+    The runner, ``repro cache`` and ``repro top`` all find the store here.
+    """
+    return open_store(
+        url or "dir:" + os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))

@@ -201,7 +201,8 @@ class NDPSystem:
         for core_id, program in programs.items():
             self.cores[core_id].run_program(iter(program))
 
-        self.sim.run(max_events=max_events)
+        with get_telemetry().span("sim.run"):
+            self.sim.run(max_events=max_events)
         unfinished = [
             cid for cid in programs if not self.cores[cid].finished
         ]

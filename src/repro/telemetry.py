@@ -7,10 +7,9 @@ CLI) reports progress and wall-clock cost through one process-local bus:
   ``lease.reclaims``).
 - **gauges** — last-written values (``sweep.remaining``).
 - **spans** — named wall-clock sections with count/total/min/max
-  aggregation (``spec.execute``); each completion is also appended to the
-  JSONL event log.
-- **histograms** — exponential-bucket latency distributions
-  (``store.publish_seconds``).
+  aggregation (``spec.execute``, ``store.put``, ``sim.run``); each
+  completion is also appended to the JSONL event log.  Spans are the one
+  timing primitive.
 
 The bus is **disabled by default**: :func:`get_telemetry` returns a
 :class:`NullTelemetry` whose methods are argument-swallowing no-ops, so
@@ -35,9 +34,7 @@ Exports:
   line: ``{"ts": ..., "event": ..., ...}``); forked worker processes
   reopen their own file keyed by pid, so lines are never interleaved.
 - ``snapshot-<worker>.json`` — aggregate snapshot (counters / gauges /
-  spans / histograms), written on session exit and on demand.
-- :meth:`Telemetry.prometheus` — the same snapshot in Prometheus text
-  exposition format, for scraping once the daemon front end lands.
+  spans), written on session exit and on demand.
 
 Degraded-fabric instrumentation lives under the ``fabric.*`` namespace
 (:mod:`repro.sim.network`): ``fabric.fault`` / ``fabric.repair`` events
@@ -57,18 +54,13 @@ import os
 import re
 import time
 from collections import Counter
-from typing import Dict, Iterator, List, Optional, Tuple
-
-#: histogram bucket upper bounds (seconds, exponential; +inf is implicit).
-HISTOGRAM_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0
-)
+from typing import Dict, Iterator, List, Optional
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def _sanitize(name: str) -> str:
-    """A telemetry name as a Prometheus metric / filename fragment."""
+    """A telemetry name as a filename fragment."""
     return _NAME_RE.sub("_", name)
 
 
@@ -108,9 +100,6 @@ class NullTelemetry:
     def gauge(self, name: str, value: float) -> None:
         pass
 
-    def observe(self, name: str, value: float) -> None:
-        pass
-
     def event(self, name: str, **fields) -> None:
         pass
 
@@ -119,9 +108,6 @@ class NullTelemetry:
 
     def export(self) -> Optional[str]:
         return None
-
-    def prometheus(self) -> str:
-        return ""
 
     def close(self) -> None:
         pass
@@ -166,8 +152,6 @@ class Telemetry:
         self.gauges: Dict[str, float] = {}
         #: span name -> [count, total_s, min_s, max_s, errors]
         self.spans: Dict[str, List[float]] = {}
-        #: histogram name -> [per-bucket counts..., +inf count, sum, count]
-        self.hists: Dict[str, List[float]] = {}
         self._sink = None
         self._sink_pid: Optional[int] = None
 
@@ -199,20 +183,6 @@ class Telemetry:
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into an exponential-bucket histogram."""
-        hist = self.hists.get(name)
-        if hist is None:
-            hist = self.hists[name] = [0] * (len(HISTOGRAM_BUCKETS) + 1) + [0.0, 0]
-        for i, bound in enumerate(HISTOGRAM_BUCKETS):
-            if value <= bound:
-                hist[i] += 1
-                break
-        else:
-            hist[len(HISTOGRAM_BUCKETS)] += 1
-        hist[-2] += value
-        hist[-1] += 1
 
     def event(self, name: str, **fields) -> None:
         """Append one record to the JSONL event log (no-op without a dir)."""
@@ -260,17 +230,6 @@ class Telemetry:
                    "min_s": cell[2], "max_s": cell[3], "errors": int(cell[4])}
             for name, cell in sorted(self.spans.items())
         }
-        hists = {}
-        for name, hist in sorted(self.hists.items()):
-            hists[name] = {
-                "buckets": {
-                    str(bound): int(hist[i])
-                    for i, bound in enumerate(HISTOGRAM_BUCKETS)
-                },
-                "inf": int(hist[len(HISTOGRAM_BUCKETS)]),
-                "sum": hist[-2],
-                "count": int(hist[-1]),
-            }
         return {
             "worker": self.worker,
             "pid": os.getpid(),
@@ -279,7 +238,6 @@ class Telemetry:
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "spans": spans,
-            "histograms": hists,
         }
 
     def export(self) -> Optional[str]:
@@ -294,41 +252,6 @@ class Telemetry:
             json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
         os.replace(tmp, path)
         return path
-
-    def prometheus(self) -> str:
-        """The snapshot in Prometheus text exposition format."""
-        label = f'{{worker="{self.worker}"}}' if self.worker else ""
-        lines = []
-        for name, value in sorted(self.counters.items()):
-            metric = f"repro_{_sanitize(name)}_total"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric}{label} {value}")
-        for name, value in sorted(self.gauges.items()):
-            metric = f"repro_{_sanitize(name)}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric}{label} {value}")
-        for name, cell in sorted(self.spans.items()):
-            metric = f"repro_{_sanitize(name)}_seconds"
-            lines.append(f"# TYPE {metric} summary")
-            lines.append(f"{metric}_count{label} {int(cell[0])}")
-            lines.append(f"{metric}_sum{label} {cell[1]}")
-        for name, hist in sorted(self.hists.items()):
-            metric = f"repro_{_sanitize(name)}"
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            for i, bound in enumerate(HISTOGRAM_BUCKETS):
-                cumulative += hist[i]
-                le = f'le="{bound}"'
-                tags = (f'{{worker="{self.worker}",{le}}}'
-                        if self.worker else f"{{{le}}}")
-                lines.append(f"{metric}_bucket{tags} {cumulative}")
-            cumulative += hist[len(HISTOGRAM_BUCKETS)]
-            inf_tags = (f'{{worker="{self.worker}",le="+Inf"}}'
-                        if self.worker else '{le="+Inf"}')
-            lines.append(f"{metric}_bucket{inf_tags} {cumulative}")
-            lines.append(f"{metric}_sum{label} {hist[-2]}")
-            lines.append(f"{metric}_count{label} {int(hist[-1])}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def close(self) -> None:
         if self._sink is not None:
@@ -385,15 +308,13 @@ def telemetry_session(directory: Optional[str] = None,
 def merge_snapshots(snapshots: List[Dict]) -> Dict:
     """Fold per-worker snapshot dicts into one aggregate (``repro report``).
 
-    Counters and histogram counts/sums add; span cells merge their
-    count/total/min/max/errors; gauges keep the value from the most
-    recently written snapshot.
+    Counters add; span cells merge their count/total/min/max/errors;
+    gauges keep the value from the most recently written snapshot.
     """
     counters: Counter = Counter()
     gauges: Dict[str, float] = {}
     gauges_at: Dict[str, float] = {}
     spans: Dict[str, Dict] = {}
-    hists: Dict[str, Dict] = {}
     workers: List[str] = []
     for snap in snapshots:
         written = float(snap.get("written_at", 0.0))
@@ -416,25 +337,11 @@ def merge_snapshots(snapshots: List[Dict]) -> Dict:
                 merged["min_s"] = min(merged["min_s"], cell["min_s"])
                 merged["max_s"] = max(merged["max_s"], cell["max_s"])
                 merged["errors"] += cell["errors"]
-        for name, cell in snap.get("histograms", {}).items():
-            merged = hists.get(name)
-            if merged is None:
-                hists[name] = {"buckets": dict(cell.get("buckets", {})),
-                               "inf": cell.get("inf", 0),
-                               "sum": cell.get("sum", 0.0),
-                               "count": cell.get("count", 0)}
-            else:
-                for bound, n in cell.get("buckets", {}).items():
-                    merged["buckets"][bound] = merged["buckets"].get(bound, 0) + n
-                merged["inf"] += cell.get("inf", 0)
-                merged["sum"] += cell.get("sum", 0.0)
-                merged["count"] += cell.get("count", 0)
     return {
         "workers": workers,
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
         "spans": dict(sorted(spans.items())),
-        "histograms": dict(sorted(hists.items())),
     }
 
 

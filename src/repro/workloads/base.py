@@ -167,7 +167,6 @@ def collect_metrics(system: NDPSystem, cycles: int, operations: int) -> RunMetri
             tel.count("sim.runs")
             tel.count("sim.events_processed", events)
             tel.count("sim.elided_events", elided)
-            tel.observe("sim.run_seconds", wall)
             tel.gauge("sim.last_events_per_sec", events / wall)
     return RunMetrics(
         mechanism=system.mechanism_name,

@@ -1,4 +1,4 @@
-"""Content-addressed result store: backends, leases, concurrency, crashes.
+"""Content-addressed result store: contract, leases, concurrency, crashes.
 
 The multi-process tests here pin the PR's core guarantees: concurrent
 writers on one shared-volume store never lose or tear an entry (the first
@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +23,10 @@ from repro.harness.runner import drain, run_specs
 from repro.harness.specs import CACHE_FORMAT_VERSION, RunSpec
 from repro.harness.store import (
     LeaseBoard,
-    MemoryStore,
-    ShardedDirStore,
+    ResultStore,
     StoreError,
     StoreIntegrityError,
+    locate_store,
     open_store,
     payload_digest,
 )
@@ -48,13 +49,11 @@ def _specs(mechs=("central", "syncron", "ideal")):
 
 
 # ----------------------------------------------------------------------
-# Backend contract (every backend behaves identically at the API level)
+# Store contract (the "dir" id names the one backend's dir: scheme)
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["memory", "dir"])
+@pytest.fixture(params=["dir"])
 def store(request, tmp_path):
-    if request.param == "memory":
-        return MemoryStore()
-    return ShardedDirStore(tmp_path / "store")
+    return ResultStore(tmp_path / "store")
 
 
 class TestStoreContract:
@@ -107,7 +106,7 @@ class TestStoreContract:
 # ----------------------------------------------------------------------
 class TestShardedDir:
     def test_hash_prefix_fanout(self, tmp_path):
-        store = ShardedDirStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = _key("a")
         store.put(key, _body(1))
         path = store.path_for(key)
@@ -116,31 +115,31 @@ class TestShardedDir:
         assert json.loads(path.read_text())["digest"]
 
     def test_corrupt_entry_quarantined_not_lost(self, tmp_path):
-        store = ShardedDirStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = _key("a")
         store.put(key, _body(1))
         path = store.path_for(key)
         path.write_text("{torn")
-        fresh = ShardedDirStore(tmp_path)
+        fresh = ResultStore(tmp_path)
         assert fresh.get(key) is None
         quarantined = list((tmp_path / "quarantine").iterdir())
         assert [p.name for p in quarantined] == [path.name]
         assert quarantined[0].read_text() == "{torn"
 
     def test_tampered_payload_fails_the_rehash(self, tmp_path):
-        store = ShardedDirStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = _key("a")
         store.put(key, _body(1))
         path = store.path_for(key)
         record = json.loads(path.read_text())
         record["result"]["cycles"] = 999  # digest now lies
         path.write_text(json.dumps(record))
-        report = ShardedDirStore(tmp_path).verify()
+        report = ResultStore(tmp_path).verify()
         assert report["corrupt"] == [key]
         assert not path.exists()  # quarantined
 
     def test_gc_drops_stale_version_entries(self, tmp_path):
-        store = ShardedDirStore(tmp_path)
+        store = ResultStore(tmp_path)
         old_key, new_key = _key("old"), _key("new")
         store.put(old_key, _body(1))
         store.put(new_key, _body(2))
@@ -148,7 +147,7 @@ class TestShardedDir:
         record = json.loads(path.read_text())
         record["version"] = CACHE_FORMAT_VERSION - 1
         path.write_text(json.dumps(record))
-        fresh = ShardedDirStore(tmp_path)
+        fresh = ResultStore(tmp_path)
         assert fresh.get(old_key) is None  # stale, but kept on disk
         assert path.exists()
         report = fresh.gc()
@@ -157,12 +156,12 @@ class TestShardedDir:
         assert fresh.get(new_key) is not None
 
     def test_gc_reaps_abandoned_tmp_files(self, tmp_path):
-        store = ShardedDirStore(tmp_path)
+        store = ResultStore(tmp_path)
         store.put(_key("a"), _body(1))
         shard = store.path_for(_key("a")).parent
         orphan = shard / ".tmp-dead"
         orphan.write_text("partial")
-        old = time.time() - 2 * ShardedDirStore.TMP_MAX_AGE_SECONDS
+        old = time.time() - 2 * ResultStore.TMP_MAX_AGE_SECONDS
         os.utime(orphan, (old, old))
         fresh_tmp = shard / ".tmp-live"
         fresh_tmp.write_text("inflight")
@@ -171,7 +170,7 @@ class TestShardedDir:
         assert not orphan.exists() and fresh_tmp.exists()
 
     def test_stats_shape(self, tmp_path):
-        store = ShardedDirStore(tmp_path)
+        store = ResultStore(tmp_path)
         for tag in ("a", "b", "c"):
             store.put(_key(tag), _body(1))
         stats = store.stats()
@@ -182,7 +181,7 @@ class TestShardedDir:
         assert stats["quarantined"] == 0 and stats["leases"] == 0
 
     def test_put_publishes_under_the_shard_lock(self, tmp_path):
-        store = ShardedDirStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = _key("a")
         store.put(key, _body(1))
         assert (tmp_path / "locks" / f"{key[:2]}.lock").is_file()
@@ -231,17 +230,25 @@ class TestLeaseBoard:
 # ----------------------------------------------------------------------
 class TestOpenStore:
     def test_schemes(self, tmp_path):
-        assert isinstance(open_store("memory:"), MemoryStore)
         rooted = open_store(f"dir:{tmp_path}")
-        assert isinstance(rooted, ShardedDirStore)
+        assert isinstance(rooted, ResultStore)
         assert open_store(rooted.url()).root == rooted.root
-        with pytest.raises(StoreError):
-            open_store(f"shared:{tmp_path}")  # not a backend scheme
+        for retired in ("memory:", f"shared:{tmp_path}"):
+            with pytest.raises(StoreError, match="unknown store scheme"):
+                open_store(retired)  # no longer a backend scheme
 
     def test_bare_path_is_a_dir_store(self, tmp_path):
         store = open_store(str(tmp_path))
-        assert isinstance(store, ShardedDirStore)
+        assert isinstance(store, ResultStore)
         assert store.root == tmp_path
+
+    def test_locate_store_resolves_the_default_location(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        assert locate_store().root == tmp_path / "env"
+        assert locate_store(f"dir:{tmp_path}").root == tmp_path
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        assert locate_store().root == Path(".repro-cache")
 
     def test_errors(self):
         with pytest.raises(StoreError):
@@ -256,7 +263,7 @@ class TestOpenStore:
 # Concurrent writers (satellite: no lost or torn entries)
 # ----------------------------------------------------------------------
 def _writer_proc(root, items, barrier):
-    store = ShardedDirStore(root)
+    store = ResultStore(root)
     barrier.wait()
     for key, body in items:
         store.put(key, body)
@@ -285,7 +292,7 @@ class TestConcurrentWriters:
             p.join(timeout=30)
             assert p.exitcode == 0
 
-        store = ShardedDirStore(root)
+        store = ResultStore(root)
         all_keys = shared_keys + own_a + own_b
         assert sorted(store.keys()) == sorted(all_keys)
         # no torn entries: every file re-hashes clean
@@ -343,7 +350,7 @@ class TestCrashRecovery:
         # still finishes the whole matrix.
         specs = _specs(("central", "syncron"))
         root = tmp_path / "store"
-        store = ShardedDirStore(root)
+        store = ResultStore(root)
         dead = LeaseBoard(root, ttl=0.01)
         work = {spec.cache_key(): spec for spec in specs}
         for key in work:
@@ -385,15 +392,6 @@ class TestMultiWorkerDrain:
         assert runner_mod.STATS.executed == 0
         assert first == second
 
-    def test_memory_store_parallel_runs_copy_back(self):
-        # a memory store can't coordinate processes; workers drain through
-        # an ephemeral dir and the parent copies results back into it.
-        specs = _specs(("central", "syncron"))
-        runner_mod.STATS.reset()
-        results = run_specs(specs, workers=2, cache=True, store="memory:")
-        assert runner_mod.STATS.executed == len(specs)
-        assert [m.mechanism for m in results] == ["central", "syncron"]
-
 
 # ----------------------------------------------------------------------
 # The `repro cache` CLI surface
@@ -401,32 +399,32 @@ class TestMultiWorkerDrain:
 class TestCacheCli:
     def _populate(self, tmp_path):
         spec = _specs(("syncron",))[0]
-        run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        run_specs([spec], cache=True, store=str(tmp_path))
         return spec
 
     def test_stats(self, tmp_path, capsys):
         self._populate(tmp_path)
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path),
+        assert main(["cache", "stats", "--store", str(tmp_path),
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["entries"] == 1 and report["backend"] == "dir"
 
     def test_verify_flags_corruption(self, tmp_path, capsys):
         spec = self._populate(tmp_path)
-        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
-        path = ShardedDirStore(tmp_path).path_for(spec.cache_key())
+        assert main(["cache", "verify", "--store", str(tmp_path)]) == 0
+        path = ResultStore(tmp_path).path_for(spec.cache_key())
         path.write_text("{broken")
-        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        assert main(["cache", "verify", "--store", str(tmp_path)]) == 1
         assert "quarantined" in capsys.readouterr().err
 
     def test_gc_reports_counts(self, tmp_path, capsys):
         spec = self._populate(tmp_path)
-        path = ShardedDirStore(tmp_path).path_for(spec.cache_key())
+        path = ResultStore(tmp_path).path_for(spec.cache_key())
         record = json.loads(path.read_text())
         record["version"] = CACHE_FORMAT_VERSION + 1
         record["digest"] = payload_digest(record)
         path.write_text(json.dumps(record))
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path),
+        assert main(["cache", "gc", "--store", str(tmp_path),
                      "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["stale_removed"] == 1
 

@@ -1,14 +1,21 @@
 """Spec hashing, result store, and parallel sweep determinism."""
 
+import dataclasses
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.harness import runner as runner_mod
+from repro.cli import main as cli_main
 from repro.harness.runner import (
+    ExecutionOptions,
     execution_options,
+    get_execution_options,
+    probe_specs,
     run_specs,
     run_sweep,
+    set_execution_options,
 )
 from repro.harness.specs import (
     CACHE_FORMAT_VERSION,
@@ -16,14 +23,14 @@ from repro.harness.specs import (
     SweepSpec,
     freeze,
 )
-from repro.harness.store import ShardedDirStore
+from repro.harness.store import ResultStore
 from repro.sim.config import SystemConfig, ndp_2_5d
 from repro.workloads.base import RunMetrics
 
 
 def _entry_path(tmp_path, spec):
     """The sharded-store file holding ``spec``'s result."""
-    return ShardedDirStore(tmp_path).path_for(spec.cache_key())
+    return ResultStore(tmp_path).path_for(spec.cache_key())
 
 
 def _lock_spec(**kwargs):
@@ -96,29 +103,29 @@ class TestResultCache:
     def test_hit_after_put(self, tmp_path):
         spec = _lock_spec()
         runner_mod.STATS.reset()
-        first = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        first = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
         runner_mod.STATS.reset()
-        again = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        again = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 0
         assert runner_mod.STATS.cache_hits == 1
         assert again[0] == first[0]
 
     def test_changed_nested_override_misses(self, tmp_path):
-        run_specs([_lock_spec()], cache=True, cache_dir=str(tmp_path))
+        run_specs([_lock_spec()], cache=True, store=str(tmp_path))
         runner_mod.STATS.reset()
         run_specs([_lock_spec(overrides={"memory": "DDR4"})],
-                  cache=True, cache_dir=str(tmp_path))
+                  cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
 
     def test_corrupted_entry_quarantined_and_recomputed(self, tmp_path):
         spec = _lock_spec()
-        first = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        first = run_specs([spec], cache=True, store=str(tmp_path))
         path = _entry_path(tmp_path, spec)
         # truncate the stored object into invalid JSON
         path.write_text(path.read_text()[:40])
         runner_mod.STATS.reset()
-        again = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        again = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1  # recomputed
         assert again[0] == first[0]
         # the damaged bytes were moved aside, not silently destroyed
@@ -127,13 +134,13 @@ class TestResultCache:
 
     def test_version_bump_invalidates(self, tmp_path):
         spec = _lock_spec()
-        run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        run_specs([spec], cache=True, store=str(tmp_path))
         path = _entry_path(tmp_path, spec)
         record = json.loads(path.read_text())
         record["version"] = CACHE_FORMAT_VERSION + 1
         path.write_text(json.dumps(record) + "\n")
         runner_mod.STATS.reset()
-        run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
 
     def test_duplicate_specs_simulate_once(self):
@@ -148,12 +155,60 @@ class TestResultCache:
             overrides={"num_units": 1, "cores_per_unit": 3,
                        "client_cores_per_unit": 2},
         )
-        row = run_specs([spec], cache=True, cache_dir=str(tmp_path))[0]
+        row = run_specs([spec], cache=True, store=str(tmp_path))[0]
         assert isinstance(row, dict) and row["cycles"] > 0
         runner_mod.STATS.reset()
-        warm = run_specs([spec], cache=True, cache_dir=str(tmp_path))[0]
+        warm = run_specs([spec], cache=True, store=str(tmp_path))[0]
         assert runner_mod.STATS.executed == 0
         assert warm == row
+
+
+class TestDryRunTellsTheTruth:
+    """The dry-run probe opens the store exactly as a real run does."""
+
+    @pytest.mark.parametrize("forced", [{"sampling": 0.5},
+                                        {"sanitize": True}])
+    def test_probe_reports_simulate_when_the_cache_is_forced_off(
+            self, tmp_path, forced):
+        spec = _lock_spec()
+        run_specs([spec], cache=True, store=str(tmp_path))
+        with execution_options(cache=True, store=str(tmp_path)):
+            assert probe_specs([spec]) == ["cached"]
+        with execution_options(cache=True, store=str(tmp_path), **forced):
+            assert probe_specs([spec]) == ["simulate"]
+
+    def test_sampled_dry_run_matches_the_sampled_run(self, tmp_path,
+                                                     capsys):
+        args = ["sweep", "--primitives", "lock", "--mechanisms", "syncron",
+                "--rounds", "8", "--interval", "120",
+                "--store", f"dir:{tmp_path}"]
+        assert cli_main(args) == 0  # warm the store
+        capsys.readouterr()
+        assert cli_main([*args, "--sampling", "0.5", "--dry-run"]) == 0
+        assert "1 runs: 0 cached, 1 to simulate" in capsys.readouterr().err
+        assert cli_main([*args, "--sampling", "0.5"]) == 0
+        assert "1 simulated, 0 served from cache" in capsys.readouterr().err
+
+
+class TestExecutionOptions:
+    def test_helpers_take_exactly_the_dataclass_fields(self):
+        names = [f.name for f in dataclasses.fields(ExecutionOptions)]
+        assert len(names) == 7
+        before = replace(get_execution_options())
+        with execution_options(**dict.fromkeys(names)):  # None = unchanged
+            assert get_execution_options() == before
+        for retired in ("cache_dir", "telemetry"):
+            with pytest.raises(TypeError, match=retired):
+                set_execution_options(**{retired: "x"})
+
+    def test_falsy_clears_optional_fields_and_context_restores(self):
+        before = get_execution_options().store
+        with execution_options(store="dir:x", sampling=0.5):
+            with execution_options(store="", sampling=0):
+                opts = get_execution_options()
+                assert opts.store is None and opts.sampling is None
+            assert get_execution_options().sampling == 0.5
+        assert get_execution_options().store == before
 
 
 class TestParallelDeterminism:
@@ -260,7 +315,7 @@ class TestSweepSpec:
 
     def test_stale_schema_cache_record_falls_back_to_simulation(self, tmp_path):
         spec = _lock_spec()
-        first = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        first = run_specs([spec], cache=True, store=str(tmp_path))
         path = _entry_path(tmp_path, spec)
         record = json.loads(path.read_text())
         # simulate a RunMetrics schema change without a version bump; the
@@ -271,7 +326,7 @@ class TestSweepSpec:
         record["digest"] = payload_digest(record)
         path.write_text(json.dumps(record) + "\n")
         runner_mod.STATS.reset()
-        again = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        again = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
         assert again[0] == first[0]
 

@@ -2,9 +2,8 @@
 
 Contracts pinned here:
 
-1. Bus mechanics — counters/gauges/spans/histograms aggregate correctly,
-   the JSONL event log and snapshot exports are well-formed, and the
-   Prometheus rendering parses as text exposition format.
+1. Bus mechanics — counters/gauges/spans aggregate correctly, and the
+   JSONL event log and snapshot exports are well-formed.
 2. Off-by-default — ``get_telemetry()`` is a no-op bus unless a session
    enabled one, and sessions restore the previous bus on exit.
 3. Physics isolation — enabling telemetry changes *no* simulated counter;
@@ -31,9 +30,8 @@ from repro.harness import topview
 from repro.harness.reporting import format_table
 from repro.harness.runner import execute_spec, execution_options, run_specs
 from repro.harness.specs import RunSpec
-from repro.harness.store import Heartbeat, ShardedDirStore, read_heartbeats
+from repro.harness.store import Heartbeat, ResultStore, read_heartbeats
 from repro.telemetry import (
-    HISTOGRAM_BUCKETS,
     NullTelemetry,
     Telemetry,
     get_telemetry,
@@ -78,18 +76,6 @@ class TestBus:
         assert cell["errors"] == 1
         assert 0 <= cell["min_s"] <= cell["max_s"] <= cell["total_s"]
 
-    def test_histogram_buckets_and_moments(self):
-        tel = Telemetry()
-        tel.observe("lat", 0.0002)   # second bucket (<= 0.0003)
-        tel.observe("lat", 2.0)      # <= 3.0 bucket
-        tel.observe("lat", 99.0)     # +inf
-        hist = tel.snapshot()["histograms"]["lat"]
-        assert hist["count"] == 3
-        assert hist["sum"] == pytest.approx(101.0002)
-        assert hist["inf"] == 1
-        assert hist["buckets"]["0.0003"] == 1
-        assert hist["buckets"]["3.0"] == 1
-
     def test_event_log_is_jsonl_per_worker_and_pid(self, tmp_path):
         tel = Telemetry(str(tmp_path), worker="w/1")
         tel.event("hello", x=1)
@@ -113,40 +99,15 @@ class TestBus:
         assert loaded["counters"]["c"] == 2
         assert loaded["worker"] == "w1"
 
-    def test_prometheus_exposition_shape(self):
-        tel = Telemetry(worker="w1")
-        tel.count("store.hits", 3)
-        tel.gauge("sweep.remaining", 7)
-        with tel.span("spec.execute"):
-            pass
-        tel.observe("store.publish_seconds", 0.002)
-        text = tel.prometheus()
-        assert 'repro_store_hits_total{worker="w1"} 3' in text
-        assert 'repro_sweep_remaining{worker="w1"} 7' in text
-        assert 'repro_spec_execute_seconds_count{worker="w1"} 1' in text
-        # histogram: cumulative buckets ending in +Inf == count
-        assert 'le="+Inf"' in text
-        inf_line = [l for l in text.splitlines() if 'le="+Inf"' in l][0]
-        assert inf_line.endswith(" 1")
-        # every sample line is "name{labels} value"
-        for line in text.splitlines():
-            if line.startswith("#"):
-                continue
-            name, _, value = line.rpartition(" ")
-            float(value)
-            assert name
-
     def test_null_bus_is_inert(self):
         null = NullTelemetry()
         assert not null.enabled
         with null.span("x", anything=1):
             null.count("c")
             null.gauge("g", 1)
-            null.observe("h", 1.0)
             null.event("e")
         assert null.snapshot() == {}
         assert null.export() is None
-        assert null.prometheus() == ""
 
 
 # ----------------------------------------------------------------------
@@ -189,13 +150,11 @@ class TestSession:
         a.gauge("g", 10)
         with a.span("s"):
             pass
-        a.observe("h", 0.01)
         b = Telemetry(worker="b")
         b.count("c", 2)
         b.gauge("g", 20)
         with b.span("s"):
             pass
-        b.observe("h", 5.0)
         snap_a, snap_b = a.snapshot(), b.snapshot()
         snap_b["written_at"] = snap_a["written_at"] + 10  # b is newer
         merged = merge_snapshots([snap_a, snap_b])
@@ -203,8 +162,6 @@ class TestSession:
         assert merged["counters"]["c"] == 3
         assert merged["gauges"]["g"] == 20  # latest write wins
         assert merged["spans"]["s"]["count"] == 2
-        assert merged["histograms"]["h"]["count"] == 2
-        assert merged["histograms"]["h"]["sum"] == pytest.approx(5.01)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +205,7 @@ class TestPhysicsIsolation:
         assert any(k.startswith("telemetry.")
                    for k in results[0].stats)
         # ...but the durable record is reproducible content only
-        store = ShardedDirStore(tmp_path / "cache")
+        store = ResultStore(tmp_path / "cache")
         record = store.get(spec.cache_key())
         assert record is not None
         assert not any(k.startswith("telemetry.")
@@ -265,6 +222,19 @@ class TestPhysicsIsolation:
         assert counters["store.misses"] >= 1
         assert counters["store.publishes"] == 1
         assert counters["store.hits"] >= 1
+
+    def test_puts_and_runs_are_timed_as_spans_on_both_runner_paths(
+            self, tmp_path):
+        with telemetry_session() as tel:
+            with execution_options(cache=True, store=f"dir:{tmp_path}/a"):
+                run_specs([small_spec(rounds=4)])  # single-worker fast path
+            with execution_options(cache=True, store=f"dir:{tmp_path}/b",
+                                   worker_id="w1"):
+                run_specs([small_spec(rounds=5)])  # lease-claim drain
+            spans = tel.snapshot()["spans"]
+        assert spans["store.put"]["count"] == 2
+        assert spans["sim.run"]["count"] == 2
+        assert "spec.put" not in spans
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +359,9 @@ class TestCli:
 
     def test_top_memory_store_exits_2(self, capsys):
         assert cli.main(["top", "--store", "memory:", "--once"]) == 2
+        assert "unknown store scheme 'memory'" in capsys.readouterr().err
+        assert cli.main(["top", "--store", "dir:", "--once"]) == 2
+        assert "needs a path" in capsys.readouterr().err
 
     def test_telemetry_disabled_after_cli_run(self, tmp_path):
         cli.main([
