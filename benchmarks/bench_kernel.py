@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import heapq
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -380,42 +381,55 @@ def end_to_end() -> dict:
 # End-to-end elision: the same spin-baseline workload with wait-elision
 # OFF vs ON.  Cycles and physics counters must be bit-identical (the CI
 # determinism diff checks that broadly); this records the wall-clock win.
+# One run takes well under 0.1 s, so each side is the median of repeats.
 # ----------------------------------------------------------------------
-def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600) -> dict:
+def _spin_once(elide: bool, rounds: int, cs_cycles: int) -> dict:
     from repro.core import api
     from repro.sim.config import ndp_2_5d
     from repro.sim.program import Compute
     from repro.sim.system import NDPSystem
 
+    config = ndp_2_5d(
+        num_units=2, cores_per_unit=5, client_cores_per_unit=4,
+    ).with_(elide_waits=elide)
+    system = NDPSystem(config, mechanism="rmw_spin")
+    lock = system.create_syncvar(name="bench_spin")
+    counter = [0]
+
+    # A non-trivial critical section is the spin baselines' worst case:
+    # every other core burns backoff polls for the whole hold time.
+    def worker():
+        for _ in range(rounds):
+            yield api.lock_acquire(lock)
+            counter[0] += 1
+            yield Compute(cs_cycles)
+            yield api.lock_release(lock)
+
+    programs = {core.core_id: worker() for core in system.cores}
+    start = time.perf_counter()
+    makespan = system.run_programs(programs)
+    elapsed = time.perf_counter() - start
+    return {
+        "simulated_cycles": makespan,
+        "events_processed": system.sim.events_processed,
+        "elided_events": system.sim.elided_events,
+        "seconds": elapsed,
+        "critical_sections": counter[0],
+    }
+
+
+def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600,
+                    repeats: int = 7) -> dict:
+    runs = {"explicit": [], "elided": []}
+    for _ in range(repeats):  # alternate the sides so drift hits both
+        for label, elide in (("explicit", False), ("elided", True)):
+            runs[label].append(_spin_once(elide, rounds, cs_cycles))
     results = {}
-    for label, elide in (("explicit", False), ("elided", True)):
-        config = ndp_2_5d(
-            num_units=2, cores_per_unit=5, client_cores_per_unit=4,
-        ).with_(elide_waits=elide)
-        system = NDPSystem(config, mechanism="rmw_spin")
-        lock = system.create_syncvar(name="bench_spin")
-        counter = [0]
-
-        # A non-trivial critical section is the spin baselines' worst case:
-        # every other core burns backoff polls for the whole hold time.
-        def worker():
-            for _ in range(rounds):
-                yield api.lock_acquire(lock)
-                counter[0] += 1
-                yield Compute(cs_cycles)
-                yield api.lock_release(lock)
-
-        programs = {core.core_id: worker() for core in system.cores}
-        start = time.perf_counter()
-        makespan = system.run_programs(programs)
-        elapsed = time.perf_counter() - start
-        results[label] = {
-            "simulated_cycles": makespan,
-            "events_processed": system.sim.events_processed,
-            "elided_events": system.sim.elided_events,
-            "seconds": elapsed,
-            "critical_sections": counter[0],
-        }
+    for label, samples in runs.items():
+        result = dict(samples[0])
+        result["seconds"] = statistics.median(r["seconds"] for r in samples)
+        result["repeats"] = repeats
+        results[label] = result
     if results["explicit"]["simulated_cycles"] != results["elided"]["simulated_cycles"]:
         raise AssertionError(
             "elision changed the simulated makespan: "
@@ -424,7 +438,7 @@ def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600) -> dict:
         )
     results["config"] = (
         f"2 units x 4 clients, rmw_spin, lock x{rounds} "
-        f"(cs={cs_cycles} cycles)"
+        f"(cs={cs_cycles} cycles), median of {repeats} runs per side"
     )
     results["wall_clock_speedup"] = (
         results["explicit"]["seconds"] / results["elided"]["seconds"]
@@ -499,7 +513,7 @@ def test_poll_storm_elision_speedup():
 
 def test_end_to_end_spin_identical_cycles():
     """The rmw_spin workload's makespan is elision-invariant (asserted inside)."""
-    spin = end_to_end_spin(rounds=8)
+    spin = end_to_end_spin(rounds=8, repeats=1)
     assert spin["elided"]["elided_events"] > 0
 
 

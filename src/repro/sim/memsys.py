@@ -13,6 +13,10 @@ baseline architecture (Sec. 2.1):
 Dirty-victim writebacks are accounted for in traffic/energy but overlap with
 execution (they do not add to the requesting core's latency), matching the
 usual write-back buffer assumption.
+
+:meth:`MemorySystem.access` resolves an uncacheable access in its own
+frame: the bakery baseline issues one per polled word (a scan is
+``2N`` of them), so that path is the hottest in the memory system.
 """
 
 from __future__ import annotations
@@ -61,15 +65,30 @@ class MemorySystem:
         size: int = 8,
         for_sync: bool = False,
     ) -> int:
-        """Full latency in cycles of one core access issued at ``now``."""
+        """Full latency in cycles of one core access issued at ``now``.
+
+        An uncacheable access is a request to the home unit, a word-grain
+        DRAM access there and the response back.
+        """
         if for_sync:
-            self.stats.sync_memory_accesses += 1
-            tenant = self.stats.active
+            stats = self.stats
+            stats.sync_memory_accesses += 1
+            tenant = stats.active
             if tenant is not None:
                 tenant.sync_memory_accesses += 1
         if cacheable and l1 is not None:
             return self._cacheable_access(src_unit, l1, addr, is_write, now)
-        return self._uncacheable_access(src_unit, addr, is_write, now, size)
+        interconnect = self.interconnect
+        home = self.addrmap.unit_of(addr)
+        payload = size if size > 8 else 8
+        if is_write:
+            request, response = REQUEST_BYTES + payload, REQUEST_BYTES
+        else:
+            request, response = REQUEST_BYTES, REQUEST_BYTES + payload
+        latency = interconnect.transfer_latency(src_unit, home, now, request)
+        latency += self.drams[home].access(addr, is_write, now + latency)
+        return latency + interconnect.transfer_latency(
+            home, src_unit, now + latency, response)
 
     # ------------------------------------------------------------------
     def _cacheable_access(self, src_unit, l1, addr, is_write, now) -> int:
@@ -101,17 +120,6 @@ class MemorySystem:
         home = self.addrmap.unit_of(addr)
         self.interconnect.transfer_latency(src_unit, home, now, self._line_bytes)
         self.drams[home].access(addr, is_write=True, now=now)
-
-    def _uncacheable_access(self, src_unit, addr, is_write, now, size) -> int:
-        interconnect = self.interconnect
-        home = self.addrmap.unit_of(addr)
-        payload = size if size > 8 else 8
-        request = REQUEST_BYTES + (payload if is_write else 0)
-        response = REQUEST_BYTES + (0 if is_write else payload)
-        latency = interconnect.transfer_latency(src_unit, home, now, request)
-        latency += self.drams[home].access(addr, is_write=is_write, now=now + latency)
-        latency += interconnect.transfer_latency(home, src_unit, now + latency, response)
-        return latency
 
     # ------------------------------------------------------------------
     def device_access(self, unit: int, addr: int, is_write: bool, now: int,

@@ -8,7 +8,8 @@ direction and 40 ns latency per cache line.
 We reproduce both:
 
 - :class:`Crossbar` charges arbitration + hop latency plus an analytic M/D/1
-  waiting time driven by a windowed estimate of the injected load.
+  waiting time driven by a moving-average estimate of the injected load,
+  all in one frame (:meth:`Crossbar.traverse`).
 - :class:`Link` is one reserved physical channel: propagation latency plus
   serialization at its bandwidth, with queueing emerging from the
   reservation (``next_free``) time.  It is timing only.
@@ -37,7 +38,9 @@ Real transfers are charged inline on the timed path; transfers the event
 kernel elides (spin polls) are charged the same by
 :meth:`Interconnect.charge_elided`.  Besides payload bytes the fabric
 counts ``link_bit_hops`` (bits x links traversed) for per-hop link energy
-and ``detour_bit_hops`` for the links a degraded route adds.
+and ``detour_bit_hops`` for the links a degraded route adds.  Crossbar
+bit-hops need no counter: every byte inside a unit crosses ``local_hops``
+hops, so the energy model derives them from ``bytes_inside_units``.
 """
 
 from __future__ import annotations
@@ -60,35 +63,45 @@ from repro.sim.topo import (
 from repro.telemetry import get_telemetry
 
 
-class LoadEstimator:
-    """Exponential moving average of injected bytes/cycle.
+class Crossbar:
+    """Buffered crossbar inside one NDP unit.
 
-    Drives the M/D/1 waiting-time term.  ``tau`` is the averaging window in
-    cycles; larger values smooth bursts.
+    A packet pays arbitration plus the local hops, plus the M/D/1 mean
+    waiting time ``W = rho * S / (2 * (1 - rho))``: ``S`` is its
+    serialization time at the crossbar bandwidth (at least one cycle) and
+    the utilization ``rho`` (capped at 0.95) comes from an exponential
+    moving average of the injected bytes/cycle with a ``TAU``-cycle window.
 
-    ``math.exp`` dominates the injection cost, and the elapsed-cycle argument
-    repeats heavily (traffic is bursty, timestamps are integers), so decay
-    factors are memoized per elapsed value.  The cache is bounded; elapsed
-    intervals long enough that the decay underflows to exactly 0.0 short-cut
-    without touching ``exp`` at all.  Values are bit-identical to the
-    uncached computation, so simulated results do not change.
+    :meth:`traverse` is one frame: every remote access crosses two
+    crossbars, so the estimator lives in this object's slots.  ``math.exp``
+    dominates an injection and the integer elapsed-cycle argument repeats
+    heavily, so decay factors are memoized per elapsed value (bounded);
+    gaps long enough that the decay underflows to exactly 0.0 skip ``exp``
+    altogether.  Both short-cuts return the exact uncached values.
     """
 
-    __slots__ = ("tau", "_rate", "_last_time", "_decay_cache", "_dead_elapsed")
+    __slots__ = ("stats", "unit_id", "_rate", "_last_time", "_decay_cache",
+                 "_dead_elapsed", "_bytes_per_cycle", "_base_cycles")
 
+    #: averaging window of the load estimate, in cycles.
+    TAU = 2000.0
     #: memoized decay factors are kept for at most this many distinct
     #: elapsed values (plenty for any real traffic pattern).
     _CACHE_LIMIT = 1 << 16
 
-    def __init__(self, tau: float = 2000.0):
-        self.tau = tau
+    def __init__(self, config: SystemConfig, stats: SystemStats, unit_id: int):
+        self.stats = stats
+        self.unit_id = unit_id
         self._rate = 0.0
         self._last_time = 0
         self._decay_cache: Dict[int, float] = {}
-        # exp(x) underflows to exactly 0.0 below ~ -745.2.
-        self._dead_elapsed = int(746.0 * tau) + 1
+        # exp(-elapsed / TAU) underflows to exactly 0.0 below ~ -745.2.
+        self._dead_elapsed = int(746.0 * self.TAU) + 1
+        self._bytes_per_cycle = config.crossbar_bytes_per_cycle
+        self._base_cycles = config.arbiter_cycles + config.local_hops * config.hop_cycles
 
-    def inject(self, now: int, nbytes: int) -> None:
+    def traverse(self, now: int, nbytes: int) -> int:
+        """Latency in cycles to move ``nbytes`` across the local crossbar."""
         elapsed = now - self._last_time
         if elapsed < 1:
             elapsed = 1
@@ -98,71 +111,26 @@ class LoadEstimator:
             cache = self._decay_cache
             decay = cache.get(elapsed)
             if decay is None:
-                decay = math.exp(-elapsed / self.tau)
+                decay = math.exp(-elapsed / self.TAU)
                 if len(cache) < self._CACHE_LIMIT:
                     cache[elapsed] = decay
         # Spread the burst over the elapsed interval, then decay history.
-        self._rate = self._rate * decay + (nbytes / elapsed) * (1.0 - decay)
+        rate = self._rate * decay + (nbytes / elapsed) * (1.0 - decay)
+        self._rate = rate
         self._last_time = now
-
-    def rate(self) -> float:
-        return self._rate
-
-
-class Crossbar:
-    """Buffered crossbar inside one NDP unit."""
-
-    __slots__ = ("config", "stats", "unit_id", "_load", "_bytes_per_cycle",
-                 "_base_cycles", "_local_hops", "_md1_rate", "_md1_rho",
-                 "_md1_denom")
-
-    def __init__(self, config: SystemConfig, stats: SystemStats, unit_id: int):
-        self.config = config
-        self.stats = stats
-        self.unit_id = unit_id
-        self._load = LoadEstimator()
-        # Hoisted config reads: these are dataclass attribute chains on the
-        # hottest call in the interconnect.
-        self._bytes_per_cycle = config.crossbar_bytes_per_cycle
-        self._local_hops = config.local_hops
-        self._base_cycles = config.arbiter_cycles + config.local_hops * config.hop_cycles
-        # The M/D/1 utilization terms depend only on the estimator's rate.
-        # The rate moves on most injections, but under steady traffic the
-        # EMA reaches a bitwise fixed point (constant packet size/spacing),
-        # after which these memoized terms are reused; results stay
-        # bit-identical to recomputing from scratch either way.
-        self._md1_rate = -1.0
-        self._md1_rho = 0.0
-        self._md1_denom = 2.0
-
-    def traverse(self, now: int, nbytes: int) -> int:
-        """Latency in cycles to move ``nbytes`` across the local crossbar."""
-        self._load.inject(now, nbytes)
         stats = self.stats
         stats.bytes_inside_units += nbytes
-        stats.local_bit_hops += nbytes * 8 * self._local_hops
         tenant = stats.active
         if tenant is not None:
             tenant.bytes_inside_units += nbytes
-        return self._base_cycles + self._md1_wait(nbytes)
-
-    def _md1_wait(self, nbytes: int) -> int:
-        """M/D/1 mean waiting time: W = rho / (2*mu*(1-rho)).
-
-        Service time of this packet is its serialization time at the crossbar
-        bandwidth; utilization rho comes from the load estimator.  The
-        rho-only terms are recomputed only when the rate actually changed
-        (see :meth:`__init__`).
-        """
-        bpc = self._bytes_per_cycle
-        service = max(nbytes / bpc, 1.0)
-        rate = self._load._rate
-        if rate != self._md1_rate:
-            rho = min(rate / bpc, 0.95)
-            self._md1_rho = rho
-            self._md1_denom = 2.0 * (1.0 - rho)
-            self._md1_rate = rate
-        return int(self._md1_rho * service / self._md1_denom)
+        bytes_per_cycle = self._bytes_per_cycle
+        rho = rate / bytes_per_cycle
+        if rho > 0.95:
+            rho = 0.95
+        service = nbytes / bytes_per_cycle
+        if service < 1.0:
+            service = 1.0
+        return self._base_cycles + int(rho * service / (2.0 * (1.0 - rho)))
 
 
 class Link:
@@ -187,8 +155,15 @@ class Link:
 
         The routed fabric calls this once per link on a route.
         """
-        serialization = max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
-        start = max(now, self._next_free)
+        exact = nbytes / self._bytes_per_cycle
+        serialization = int(exact)
+        if serialization < exact:
+            serialization += 1  # ceil
+        if serialization < 1:
+            serialization = 1
+        start = self._next_free
+        if start < now:
+            start = now
         self._next_free = start + serialization
         return (start - now) + serialization + self._latency_cycles
 
@@ -294,15 +269,13 @@ class Interconnect:
     # Routing
     # ------------------------------------------------------------------
     def _route(self, src_unit: int, dst_unit: int) -> Tuple[Link, ...]:
-        """Pristine route as Link objects, in order (memoized hot path)."""
-        key = (src_unit, dst_unit)
-        route = self._routes.get(key)
-        if route is None:
-            route = tuple(
-                self._link_for(channel)
-                for channel in self.topology.route(src_unit, dst_unit)
-            )
-            self._routes[key] = route
+        """Memoize one pair's pristine route as Link objects, in order
+        (:meth:`remote_latency` reads ``_routes`` and calls this on a miss)."""
+        route = tuple(
+            self._link_for(channel)
+            for channel in self.topology.route(src_unit, dst_unit)
+        )
+        self._routes[(src_unit, dst_unit)] = route
         return route
 
     def _resolve(self, key: Tuple[int, int]) -> Tuple:
@@ -478,14 +451,17 @@ class Interconnect:
         """
         if src_unit == dst_unit:
             return self.local_latency(src_unit, now, nbytes)
-        latency = self.crossbars[src_unit].traverse(now, nbytes)
+        crossbars = self.crossbars
+        stats = self.stats
+        latency = crossbars[src_unit].traverse(now, nbytes)
         if self._degraded or self._adaptive:
             route, extra = self._routed(src_unit, dst_unit, now + latency)
             if extra:
-                self.stats.detour_bit_hops += nbytes * 8 * extra
+                stats.detour_bit_hops += nbytes * 8 * extra
         else:
-            route = self._route(src_unit, dst_unit)
-        stats = self.stats
+            route = self._routes.get((src_unit, dst_unit))
+            if route is None:
+                route = self._route(src_unit, dst_unit)
         stats.bytes_across_units += nbytes
         stats.link_bit_hops += nbytes * 8 * len(route)
         tenant = stats.active
@@ -493,8 +469,7 @@ class Interconnect:
             tenant.bytes_across_units += nbytes
         for link in route:
             latency += link.reserve(now + latency, nbytes)
-        latency += self.crossbars[dst_unit].traverse(now + latency, nbytes)
-        return latency
+        return latency + crossbars[dst_unit].traverse(now + latency, nbytes)
 
     def transfer_latency(self, src_unit: int, dst_unit: int, now: int, nbytes: int) -> int:
         """Generic entry point used by cores, SEs, and memory controllers."""
@@ -521,7 +496,6 @@ class Interconnect:
             hops, extra = self._primary(src_unit, dst_unit)
         stats = self.stats
         stats.bytes_inside_units += inside
-        stats.local_bit_hops += inside * 8 * self.config.local_hops
         stats.bytes_across_units += across
         stats.link_bit_hops += across * 8 * hops
         stats.detour_bit_hops += across * 8 * extra

@@ -118,8 +118,6 @@ class SystemStats:
     #: remote transfer regardless of how many physical links the route
     #: crosses, so the metric is conserved across topologies.
     bytes_across_units: int = 0
-    #: bit-hops over local crossbars (for local-network energy).
-    local_bit_hops: int = 0
     #: bits x physical inter-unit links traversed (for link energy).  On the
     #: all-to-all fabric every route is one link, so this equals
     #: ``bytes_across_units * 8``; routed fabrics charge every hop.

@@ -149,31 +149,27 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
     # ------------------------------------------------------------------
     # Memory-access cost model
     # ------------------------------------------------------------------
-    def _access(self, core, var: SyncVar, is_write: bool, now: int) -> int:
-        """One uncacheable word access to ``var``'s home unit."""
-        return self.system.memsys.access(
-            core.unit_id, None, var.addr, is_write,
-            cacheable=False, now=now, size=8, for_sync=True,
-        )
-
     def _charge_sequence(self, core, var: SyncVar, loads: int, stores: int,
                          done: Callable[[], None]) -> None:
-        """Charge ``loads`` + ``stores`` back-to-back accesses, then call
-        ``done``.  One simulator event for the whole sequence (the in-order
-        core cannot overlap them anyway)."""
+        """Charge ``stores`` then ``loads`` back-to-back uncacheable word
+        accesses to ``var``'s home unit, then call ``done``.  One simulator
+        event for the whole sequence (the in-order core cannot overlap
+        them anyway)."""
         # Retry chains re-enter here from scheduled events, so re-establish
         # the requesting core's tenant as the attribution context.
         self.stats.active = getattr(core, "tstats", None)
-        cursor = self.sim.now
-        for _ in range(stores):
-            cursor += max(self._access(core, var, True, cursor), 1)
-        for _ in range(loads):
-            cursor += max(self._access(core, var, False, cursor), 1)
-        if core.unit_id == var.unit:
+        access = self.system.memsys.access
+        unit = core.unit_id
+        addr = var.addr
+        start = cursor = self.sim.now
+        for is_write in [True] * stores + [False] * loads:
+            latency = access(unit, None, addr, is_write, False, cursor, 8, True)
+            cursor += latency if latency > 1 else 1
+        if unit == var.unit:
             self.stats.sync_messages_local += loads + stores
         else:
             self.stats.sync_messages_global += loads + stores
-        self._seq_cycles[core.core_id] = cursor - self.sim.now
+        self._seq_cycles[core.core_id] = cursor - start
         self.sim.schedule_at(cursor, done)
 
     def _set_word(self, var: SyncVar, field: str, value: int) -> None:

@@ -170,8 +170,8 @@ CHARGE_FABRICS = {
 class TestElidedCharging:
     """``charge_elided`` charges what the same real transfers charge."""
 
-    TRAFFIC = ("bytes_inside_units", "bytes_across_units", "local_bit_hops",
-               "link_bit_hops", "detour_bit_hops")
+    TRAFFIC = ("bytes_inside_units", "bytes_across_units", "link_bit_hops",
+               "detour_bit_hops")
 
     def charged(self, fabric, transfers):
         cfg = ndp_2_5d(**CHARGE_FABRICS[fabric])

@@ -67,12 +67,13 @@ class TestEnergyModel:
         assert zero.total_pj == 0
 
         stats.cache_hits = 10
-        stats.local_bit_hops = 100
+        stats.bytes_inside_units = 100  # every byte crosses local_hops hops
         stats.dram_reads = 2
         breakdown = compute_energy(stats, config)
         assert breakdown.cache_pj == 10 * config.energy.cache_hit_pj
         assert breakdown.network_pj == pytest.approx(
-            100 * config.energy.local_network_pj_per_bit_hop
+            100 * 8 * config.local_hops
+            * config.energy.local_network_pj_per_bit_hop
         )
         assert breakdown.memory_pj == pytest.approx(
             2 * 64 * 8 * config.memory.energy_pj_per_bit
@@ -84,7 +85,7 @@ class TestEnergyModel:
         stats.link_bit_hops = 1000 * 8  # 1000 bytes over one physical link
         cross = compute_energy(stats, config).network_pj
         stats2 = SystemStats()
-        stats2.local_bit_hops = 1000 * 8 * 2
+        stats2.bytes_inside_units = 1000  # 1000 bytes over the local hops
         local = compute_energy(stats2, config).network_pj
         assert cross > local  # 4 pJ/bit/link vs 0.4 pJ/bit/hop NoC
 

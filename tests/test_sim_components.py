@@ -1,7 +1,9 @@
 """Unit tests for clock, config, address map, DRAM, cache, and network."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.cache import L1Cache
 from repro.sim.clock import (
@@ -14,7 +16,7 @@ from repro.sim.clock import (
 from repro.sim.config import DDR4, HBM, HMC, SystemConfig, cpu_numa, ndp_2_5d
 from repro.sim.dram import DramDevice
 from repro.sim.memmap import AddressMap
-from repro.sim.network import Crossbar, Interconnect, Link, LoadEstimator
+from repro.sim.network import Crossbar, Interconnect, Link
 from repro.sim.stats import SystemStats
 
 
@@ -286,8 +288,125 @@ class TestNetwork:
         assert stats.bytes_inside_units >= 64  # local traffic counted too
 
     def test_load_estimator_decays(self):
-        est = LoadEstimator(tau=100.0)
-        est.inject(0, 1000)
-        busy = est.rate()
-        est.inject(10_000, 1)
-        assert est.rate() < busy
+        xbar = Crossbar(ndp_2_5d(), SystemStats(), 0)
+        xbar.traverse(0, 1000)
+        busy = xbar._rate
+        xbar.traverse(10_000, 1)
+        assert xbar._rate < busy
+
+
+class ReferenceCrossbar:
+    """The crossbar model in its plain form: an EMA load estimator with an
+    uncached ``exp``, then the M/D/1 wait with ``min``/``max``."""
+
+    def __init__(self, cfg):
+        self.rate = 0.0
+        self.last_time = 0
+        self.bytes_per_cycle = cfg.crossbar_bytes_per_cycle
+        self.base = cfg.arbiter_cycles + cfg.local_hops * cfg.hop_cycles
+
+    def traverse(self, now, nbytes):
+        elapsed = max(now - self.last_time, 1)
+        decay = math.exp(-elapsed / Crossbar.TAU)
+        self.rate = self.rate * decay + (nbytes / elapsed) * (1.0 - decay)
+        self.last_time = now
+        rho = min(self.rate / self.bytes_per_cycle, 0.95)
+        service = max(nbytes / self.bytes_per_cycle, 1.0)
+        return self.base + int(rho * service / (2.0 * (1.0 - rho)))
+
+
+class ReferenceLink:
+    """A link reservation with ``math.ceil`` and ``max``."""
+
+    def __init__(self, bytes_per_cycle, latency_cycles):
+        self.next_free = 0
+        self.bytes_per_cycle = bytes_per_cycle
+        self.latency_cycles = latency_cycles
+
+    def reserve(self, now, nbytes):
+        serialization = max(int(math.ceil(nbytes / self.bytes_per_cycle)), 1)
+        start = max(now, self.next_free)
+        self.next_free = start + serialization
+        return (start - now) + serialization + self.latency_cycles
+
+
+#: steps between packets: back-to-back and same-cycle (the ``elapsed < 1``
+#: clamp, backwards too), bursty, and gaps around ``746 * TAU`` cycles,
+#: from where the decay underflows to exactly 0.0.
+GAPS = st.one_of(
+    st.integers(-40, 2),
+    st.integers(0, 400),
+    st.integers(int(740 * Crossbar.TAU), int(750 * Crossbar.TAU)),
+)
+NBYTES = st.one_of(st.sampled_from([0, 1, 8, 16, 24, 64, 72]),
+                   st.integers(0, 20_000))
+PACKETS = st.lists(st.tuples(GAPS, NBYTES), min_size=1, max_size=120)
+#: leading back-to-back 16 KiB packets: a few push the utilization to
+#: its 0.95 cap, so the random tail also meets a loaded crossbar.
+WARMUP = st.integers(0, 8)
+#: one slow profiled channel: 1.28 GB/s is a fractional 0.512 bytes/cycle.
+PROFILED = ndp_2_5d(num_units=4, link_profile=((0, 1, 1.28, 80.0),))
+
+
+def _timeline(warmup, packets):
+    now = 0
+    for gap, nbytes in [(1, 16_384)] * warmup + packets:
+        now = max(now + gap, 0)
+        yield now, nbytes
+
+
+class TestFusedPathMatchesReference:
+    """``Crossbar.traverse``, ``Link.reserve`` and ``remote_latency`` give
+    exactly the plain model's latencies and counters."""
+
+    @given(WARMUP, PACKETS)
+    # at the utilization cap: sub-cycle services, same-cycle and backwards
+    @example(6, [(1, 16), (1, 24), (0, 31), (-3, 0)])
+    # just short of the underflow short-cut, then on it
+    @example(6, [(int(744.5 * Crossbar.TAU), 0), (int(746 * Crossbar.TAU), 0)])
+    def test_crossbar(self, warmup, packets):
+        cfg = ndp_2_5d()
+        stats = SystemStats()
+        xbar, ref = Crossbar(cfg, stats, 0), ReferenceCrossbar(cfg)
+        total = 0
+        for now, nbytes in _timeline(warmup, packets):
+            assert xbar.traverse(now, nbytes) == ref.traverse(now, nbytes)
+            assert xbar._rate == ref.rate
+            total += nbytes
+        assert stats.bytes_inside_units == total
+
+    @pytest.mark.parametrize("channel", [(0, 1), (1, 0)],
+                             ids=["profiled", "default"])
+    @given(packets=PACKETS)
+    # the second packet arrives one cycle after the link frees up
+    @example(packets=[(0, 64), (126, 64)])
+    @example(packets=[(0, 64), (14, 64)])
+    def test_link(self, channel, packets):
+        bytes_per_cycle, latency = Interconnect(
+            PROFILED, SystemStats()).link_parameters(channel)
+        assert bytes_per_cycle != int(bytes_per_cycle)
+        link = Link(bytes_per_cycle, latency)
+        ref = ReferenceLink(bytes_per_cycle, latency)
+        for now, nbytes in _timeline(0, packets):
+            assert link.reserve(now, nbytes) == ref.reserve(now, nbytes)
+            assert link._next_free == ref.next_free
+
+    @given(warmup=WARMUP, packets=PACKETS,
+           forward=st.lists(st.booleans(), min_size=128, max_size=128))
+    def test_remote_latency(self, warmup, packets, forward):
+        stats = SystemStats()
+        inter = Interconnect(PROFILED, stats)
+        xbars = [ReferenceCrossbar(PROFILED), ReferenceCrossbar(PROFILED)]
+        links = [ReferenceLink(*inter.link_parameters(channel))
+                 for channel in ((0, 1), (1, 0))]
+        moved = 0
+        for (now, nbytes), fwd in zip(_timeline(warmup, packets), forward):
+            src, dst = (0, 1) if fwd else (1, 0)
+            expected = xbars[src].traverse(now, nbytes)
+            expected += links[src].reserve(now + expected, nbytes)
+            expected += xbars[dst].traverse(now + expected, nbytes)
+            assert inter.remote_latency(src, dst, now, nbytes) == expected
+            moved += nbytes
+        assert stats.bytes_across_units == moved
+        assert stats.bytes_inside_units == 2 * moved
+        assert stats.link_bit_hops == moved * 8
