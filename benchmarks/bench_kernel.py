@@ -381,8 +381,12 @@ def end_to_end() -> dict:
 # End-to-end elision: the same spin-baseline workload with wait-elision
 # OFF vs ON.  Cycles and physics counters must be bit-identical (the CI
 # determinism diff checks that broadly); this records the wall-clock win.
-# One run takes well under 0.1 s, so each side is the median of repeats.
+# One run takes well under 0.1 s, so each side is the median of
+# SPIN_REPEATS runs.
 # ----------------------------------------------------------------------
+SPIN_REPEATS = 7
+
+
 def _spin_once(elide: bool, rounds: int, cs_cycles: int) -> dict:
     from repro.core import api
     from repro.sim.config import ndp_2_5d
@@ -418,17 +422,15 @@ def _spin_once(elide: bool, rounds: int, cs_cycles: int) -> dict:
     }
 
 
-def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600,
-                    repeats: int = 7) -> dict:
+def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600) -> dict:
     runs = {"explicit": [], "elided": []}
-    for _ in range(repeats):  # alternate the sides so drift hits both
+    for _ in range(SPIN_REPEATS):  # alternate the sides so drift hits both
         for label, elide in (("explicit", False), ("elided", True)):
             runs[label].append(_spin_once(elide, rounds, cs_cycles))
     results = {}
     for label, samples in runs.items():
         result = dict(samples[0])
         result["seconds"] = statistics.median(r["seconds"] for r in samples)
-        result["repeats"] = repeats
         results[label] = result
     if results["explicit"]["simulated_cycles"] != results["elided"]["simulated_cycles"]:
         raise AssertionError(
@@ -438,7 +440,7 @@ def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600,
         )
     results["config"] = (
         f"2 units x 4 clients, rmw_spin, lock x{rounds} "
-        f"(cs={cs_cycles} cycles), median of {repeats} runs per side"
+        f"(cs={cs_cycles} cycles), median of {SPIN_REPEATS} runs per side"
     )
     results["wall_clock_speedup"] = (
         results["explicit"]["seconds"] / results["elided"]["seconds"]
@@ -513,7 +515,7 @@ def test_poll_storm_elision_speedup():
 
 def test_end_to_end_spin_identical_cycles():
     """The rmw_spin workload's makespan is elision-invariant (asserted inside)."""
-    spin = end_to_end_spin(rounds=8, repeats=1)
+    spin = end_to_end_spin(rounds=8)
     assert spin["elided"]["elided_events"] > 0
 
 

@@ -123,6 +123,7 @@ class Crossbar:
         tenant = stats.active
         if tenant is not None:
             tenant.bytes_inside_units += nbytes
+        # min/max as compares (Link.reserve says what the builtins cost).
         bytes_per_cycle = self._bytes_per_cycle
         rho = rate / bytes_per_cycle
         if rho > 0.95:
@@ -153,7 +154,11 @@ class Link:
     def reserve(self, now: int, nbytes: int) -> int:
         """Queue behind earlier packets, serialize, propagate.
 
-        The routed fabric calls this once per link on a route.
+        The routed fabric calls this once per link on a route.  The
+        ceiling and maxima are plain compares: with ``math.ceil``/``max``
+        here and ``min``/``max`` in :meth:`Crossbar.traverse`, perfbench
+        ``spin`` ran 4.32 s instead of 3.27 s (median ``wall_s``, 10
+        alternating pairs on a 2-vCPU x86 host).
         """
         exact = nbytes / self._bytes_per_cycle
         serialization = int(exact)
