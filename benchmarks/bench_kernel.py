@@ -15,8 +15,10 @@ Two measurements:
    speedup is measured, not guessed.
 
 2. **End-to-end** — a representative SynCron configuration (4 units, lock +
-   barrier mix over the real SE protocol stack) timed wall-clock, reporting
-   simulated cycles, events processed, and events/sec through the full model.
+   barrier mix over the real SE protocol stack) and the same mix on the Hier
+   server cores, each timed wall-clock as the median of ``SPIN_REPEATS``
+   runs, reporting simulated cycles, events processed, and events/sec
+   through the full model.
 
 Results are written as JSON so the perf trajectory is recorded per-PR
 (``BENCH_kernel.json`` at the repo root; CI uploads it as an artifact).
@@ -341,21 +343,27 @@ def kernel_microbench(scale: int = 1) -> dict:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: a representative SynCron run through the full model stack.
+# End-to-end: a representative SynCron run through the full model stack,
+# and the same lock+barrier mix on the Hier server cores (the software
+# server engine).  One run takes well under a second, so every
+# end-to-end timing below is the median of SPIN_REPEATS runs.
 # ----------------------------------------------------------------------
-def end_to_end() -> dict:
+SPIN_REPEATS = 7
+
+
+def _end_to_end_once(mechanism: str, rounds: int = 150) -> dict:
     from repro.core import api
     from repro.sim.config import ndp_2_5d
     from repro.sim.system import NDPSystem
 
     config = ndp_2_5d(num_units=4, cores_per_unit=5, client_cores_per_unit=4)
-    system = NDPSystem(config, mechanism="syncron")
+    system = NDPSystem(config, mechanism=mechanism)
     lock = system.create_syncvar(name="bench_lock")
     barrier = system.create_syncvar(name="bench_barrier")
     n_clients = config.total_clients
     counter = [0]
 
-    def worker(rounds=150):
+    def worker():
         for _ in range(rounds):
             yield api.lock_acquire(lock)
             counter[0] += 1
@@ -366,27 +374,29 @@ def end_to_end() -> dict:
     start = time.perf_counter()
     makespan = system.run_programs(programs)
     elapsed = time.perf_counter() - start
-    events = system.sim.events_processed
     return {
-        "config": "4 units x 4 clients, syncron, lock+barrier x150",
+        "config": (f"4 units x 4 clients, {mechanism}, lock+barrier "
+                   f"x{rounds}, median of {SPIN_REPEATS} runs"),
         "simulated_cycles": makespan,
-        "events": events,
+        "events": system.sim.events_processed,
         "seconds": elapsed,
-        "events_per_sec": events / elapsed if elapsed > 0 else float("inf"),
         "critical_sections": counter[0],
     }
+
+
+def end_to_end(mechanism: str = "syncron") -> dict:
+    runs = [_end_to_end_once(mechanism) for _ in range(SPIN_REPEATS)]
+    result = dict(runs[0])
+    result["seconds"] = statistics.median(r["seconds"] for r in runs)
+    result["events_per_sec"] = result["events"] / result["seconds"]
+    return result
 
 
 # ----------------------------------------------------------------------
 # End-to-end elision: the same spin-baseline workload with wait-elision
 # OFF vs ON.  Cycles and physics counters must be bit-identical (the CI
 # determinism diff checks that broadly); this records the wall-clock win.
-# One run takes well under 0.1 s, so each side is the median of
-# SPIN_REPEATS runs.
 # ----------------------------------------------------------------------
-SPIN_REPEATS = 7
-
-
 def _spin_once(elide: bool, rounds: int, cs_cycles: int) -> dict:
     from repro.core import api
     from repro.sim.config import ndp_2_5d
@@ -460,9 +470,11 @@ def main(argv=None) -> int:
     micro = kernel_microbench(scale=max(args.scale, 1))
     storm = poll_storm_bench()
     e2e = end_to_end()
+    e2e_hier = end_to_end("hier")
     spin = end_to_end_spin()
     report = {"kernel_microbench": micro, "poll_storm": storm,
-              "end_to_end": e2e, "end_to_end_spin": spin}
+              "end_to_end": e2e, "end_to_end_hier": e2e_hier,
+              "end_to_end_spin": spin}
 
     overall = micro["overall"]
     print("kernel microbenchmark (events/sec):")
@@ -482,9 +494,10 @@ def main(argv=None) -> int:
               f" + {r['elided_events']:,} elided)")
     print(f"  elision speedup: {storm['elision_speedup_vs_explicit']:.1f}x"
           f" vs explicit, {storm['elision_speedup_vs_legacy']:.1f}x vs legacy")
-    print(f"end-to-end: {e2e['events']:,} events in {e2e['seconds']:.2f}s"
-          f" -> {e2e['events_per_sec']:,.0f} events/sec"
-          f" ({e2e['simulated_cycles']:,} simulated cycles)")
+    for label, row in (("syncron", e2e), ("hier", e2e_hier)):
+        print(f"end-to-end {label}: {row['events']:,} events in"
+              f" {row['seconds']:.3f}s -> {row['events_per_sec']:,.0f}"
+              f" events/sec ({row['simulated_cycles']:,} simulated cycles)")
     print(f"end-to-end spin (rmw_spin): {spin['wall_clock_speedup']:.2f}x"
           f" wall-clock with elision"
           f" ({spin['explicit']['seconds']:.2f}s -> "

@@ -4,7 +4,7 @@ Run directly::
 
     PYTHONPATH=src python benchmarks/bench_topology.py [--output BENCH_topology.json]
 
-Two angles on the new :mod:`repro.sim.topo` subsystem:
+Three angles on the new :mod:`repro.sim.topo` subsystem:
 
 1. **Simulated cost** — the ``topo_sensitivity`` table (lock microbenchmark,
    every fabric, 4 and 16 units): per-fabric slowdown vs the ideal
@@ -12,7 +12,7 @@ Two angles on the new :mod:`repro.sim.topo` subsystem:
    Asserts the physics before reporting: no routed fabric may beat
    all-to-all at 16 units.
 2. **Host overhead** — raw ``remote_latency`` calls/second per fabric on a
-   16-unit system.  The routed path replaced the seed's direct per-pair
+   16-unit system (median of ``REMOTE_LATENCY_REPEATS`` passes).  The routed path replaced the seed's direct per-pair
    link lookup, so this guards the interconnect hot path against
    regressions (all-to-all routes are 1 link; mesh routes average ~2.7).
 3. **Graceful degradation** — an 8-unit ring loses both directions of one
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -51,20 +52,28 @@ DEGRADED_FAULTS = ((0, 1, 400, 0), (1, 0, 400, 0))
 DEGRADED_ROUNDS = 8
 
 
+#: timed passes per fabric; the reported throughput is their median (one
+#: single-shot pass read anywhere in a ~30% band on a quiet 2-vCPU box).
+REMOTE_LATENCY_REPEATS = 5
+
+
 def bench_remote_latency(topology: str, calls: int = 100_000) -> float:
-    """remote_latency calls/second over a fixed 16-unit traffic pattern."""
-    config = ndp_2_5d(num_units=16, topology=topology)
-    inter = Interconnect(config, SystemStats())
+    """remote_latency calls/second over a fixed 16-unit traffic pattern,
+    the median of ``REMOTE_LATENCY_REPEATS`` passes on a fresh fabric."""
     pairs = [(src, (src + stride) % 16)
              for stride in (1, 3, 7) for src in range(16)]
-    start = time.perf_counter()
-    now = 0
-    for i in range(calls):
-        src, dst = pairs[i % len(pairs)]
-        inter.remote_latency(src, dst, now, 64)
-        now += 40
-    elapsed = time.perf_counter() - start
-    return calls / elapsed
+    rates = []
+    for _ in range(REMOTE_LATENCY_REPEATS):
+        inter = Interconnect(ndp_2_5d(num_units=16, topology=topology),
+                             SystemStats())
+        start = time.perf_counter()
+        now = 0
+        for i in range(calls):
+            src, dst = pairs[i % len(pairs)]
+            inter.remote_latency(src, dst, now, 64)
+            now += 40
+        rates.append(calls / (time.perf_counter() - start))
+    return statistics.median(rates)
 
 
 def _run_ring_lock(mechanism: str, fault_links=()) -> tuple:

@@ -72,6 +72,8 @@ GATES: Dict[str, List[Tuple]] = {
         # Deterministic physics: identical or the simulator changed.
         ("equals", "end_to_end.simulated_cycles", None, None),
         ("equals", "end_to_end.critical_sections", None, None),
+        ("equals", "end_to_end_hier.simulated_cycles", None, None),
+        ("equals", "end_to_end_hier.critical_sections", None, None),
         ("equals", "end_to_end_spin.*.simulated_cycles", None, None),
         ("equals", "end_to_end_spin.*.critical_sections", None, None),
         ("equals", "poll_storm.*.logical_events", None, None),

@@ -76,9 +76,9 @@ DEFAULT_ALLOWLIST: Set[Tuple[str, str]] = {
     # before its request is enqueued) — a cross-object data dependency the
     # same-cycle parent chain cannot see.
     ("NDPCore", "_waiting_since"),
-    # SE service-loop handshake: ``_finish``/``_start_next`` (previous
-    # message completes) and ``_enqueue`` (new message arrives) may share a
-    # cycle in either order.  Both orders service the new message starting
+    # SE service-loop handshake: ``_finish`` or the deferred
+    # ``_start_next`` (previous message completes) and ``_enqueue`` (new
+    # message arrives) may share a cycle in either order.  Both orders service the new message starting
     # the same cycle — the queue, not bucket order, serializes work — so
     # the toggle converges.  Covers every SyncEngine subclass via the MRO.
     ("SyncEngine", "_busy"),

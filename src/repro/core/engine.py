@@ -9,8 +9,8 @@ overflow management.  Message semantics live in
 
 :class:`SynCronMechanism` is the system-facing object: it injects core
 requests into the local SE (hierarchical communication: cores *only* talk to
-their local SE), wires SEs to each other over the interconnect, and wakes
-cores when grants arrive.
+their local SE), wires SEs to each other over the interconnect, and holds
+each waiting core's grant callback.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.core.messages import (
     LOCAL_OPCODES,
     Message,
     Opcode,
+    OPCODE_BYTES,
     OVERFLOW_OPCODES,
     REQUEST_BYTES,
     RESPONSE_BYTES,
@@ -82,6 +83,11 @@ _REDIRECT_OPCODES = {
 class SyncEngine(ProtocolMixin):
     """One SE, integrated in the compute die of one NDP unit.
 
+    The SPU is a FIFO single server, one kernel event per message: an idle
+    SE's ``_enqueue`` schedules ``_finish`` itself, and ``_finish`` starts
+    the next queued message in its own frame unless the handler charged
+    memory cycles (``_extra``), which defer the start to ``_start_next``.
+
     (No ``__slots__`` here on purpose: there is one SE per unit — a handful
     of instances — and tests monkeypatch engine methods per instance.)
     """
@@ -114,6 +120,7 @@ class SyncEngine(ProtocolMixin):
         #: messages from the same source.
         self._last_arrival: Dict[object, int] = {}
         self.messages_handled = 0
+        self.stats.add_se(se_id)
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -135,31 +142,40 @@ class SyncEngine(ProtocolMixin):
         self.sim.schedule_at(arrival, self._enqueue, msg)
 
     def _enqueue(self, msg: Message) -> None:
-        self._queue.append(msg)
-        if not self._busy:
+        if self._busy:
+            self._queue.append(msg)
+        else:
             self._busy = True
-            self._start_next()
+            self.sim.schedule(self.service_cycles, self._finish, msg)
 
     def _start_next(self) -> None:
-        if not self._queue:
+        queue = self._queue
+        if queue:
+            self.sim.schedule(self.service_cycles, self._finish, queue.popleft())
+        else:
             self._busy = False
-            return
-        msg = self._queue.popleft()
-        self.sim.schedule(self.service_cycles, self._finish, msg)
 
     def _finish(self, msg: Message) -> None:
         self._extra = 0
         self.messages_handled += 1
         stats = self.stats
-        stats.record_st_occupancy(self.se_id, self.st.occupied)
+        se_id = self.se_id
+        occupied = self.st.occupied
+        if occupied > stats.occ_max[se_id]:
+            stats.occ_max[se_id] = occupied
+        stats.occ_sum[se_id] += occupied
+        stats.occ_samples[se_id] += 1
         # Everything this dispatch does (messages, syncronVar accesses,
         # server-core loads/stores) is on behalf of the variable's tenant.
         stats.active = msg.var.owner if msg.var is not None else None
         self.dispatch(msg)
         if self._extra > 0:
             self.sim.schedule(self._extra, self._start_next)
+        elif self._queue:
+            self.sim.schedule(self.service_cycles, self._finish,
+                              self._queue.popleft())
         else:
-            self._start_next()
+            self._busy = False
 
     # ------------------------------------------------------------------
     # State residency: Fig. 8 control flow
@@ -302,9 +318,9 @@ class SyncEngine(ProtocolMixin):
             self.stats.sync_messages_global += 1
         depart = self.sim.now + self._extra
         latency = self.mech.interconnect.transfer_latency(
-            self.unit, dst_se, depart, msg.bytes
+            self.unit, dst_se, depart, OPCODE_BYTES[opcode]
         )
-        self.mech.se(dst_se).receive(msg, depart + latency, sender=self.sender_token)
+        self.mech.ses[dst_se].receive(msg, depart + latency, sender=self.sender_token)
 
     def send_grant(self, core_id: int) -> None:
         """Direct notification of one waiting core (Table 4).
@@ -313,23 +329,21 @@ class SyncEngine(ProtocolMixin):
         flat variant and the Central baseline also grant remote cores, which
         crosses the inter-unit link.
         """
+        mech = self.mech
+        callback = mech._pending.pop(core_id, None)
+        if callback is None:
+            raise ProtocolError(f"grant for core {core_id} with no pending request")
         depart = self.sim.now + self._extra
-        dst_unit = self.mech.core_unit(core_id)
+        dst_unit = mech.core_unit(core_id)
         if dst_unit == self.unit:
             self.stats.sync_messages_local += 1
+            latency = mech.interconnect.local_latency(
+                dst_unit, depart, RESPONSE_BYTES)
         else:
             self.stats.sync_messages_global += 1
-        latency = self.mech.interconnect.transfer_latency(
-            self.unit, dst_unit, depart, RESPONSE_BYTES
-        )
-        self.sim.schedule_at(depart + latency, self.mech.wake, core_id)
-
-    def _internal_request(self, msg: Message) -> None:
-        """The SE issues a request on behalf of a core (condition variables:
-        releasing / re-acquiring the associated lock).  Routing is owned by
-        the mechanism: hierarchical designs handle it at this SE, the flat
-        variant must target the lock's Master SE."""
-        self.mech.inject_internal(self, msg)
+            latency = mech.interconnect.remote_latency(
+                self.unit, dst_unit, depart, RESPONSE_BYTES)
+        self.sim.schedule_at(depart + latency, callback)
 
 
 class SynCronMechanism(MechanismBase):
@@ -346,9 +360,6 @@ class SynCronMechanism(MechanismBase):
         self._rmw_ext = None  # built on first use (Sec. 4.4.1 extension)
 
     # ------------------------------------------------------------------
-    def se(self, se_id: int) -> SyncEngine:
-        return self.ses[se_id]
-
     @property
     def total_clients(self) -> int:
         return self.config.total_clients
@@ -357,12 +368,6 @@ class SynCronMechanism(MechanismBase):
         return self.config.client_contexts_per_unit
 
     # ------------------------------------------------------------------
-    def _prepare(self, core, op: str, var: SyncVar, info) -> Message:
-        self._admit(core, op, var)
-        if op == SEM_WAIT:
-            self.sem_initial.setdefault(var.addr, info)
-        return Message(_REQUEST_OPCODES[op], var, core=core.core_id, info=info)
-
     def _inject(self, core, msg: Message) -> None:
         self.stats.sync_messages_local += 1
         latency = self.interconnect.local_latency(
@@ -373,27 +378,28 @@ class SynCronMechanism(MechanismBase):
         )
 
     def request(self, core, op, var, info, callback) -> None:
-        if core.core_id in self._pending:
-            raise ProtocolError(f"core {core.core_id} already has a pending request")
-        msg = self._prepare(core, op, var, info)
-        self._pending[core.core_id] = callback
-        self._inject(core, msg)
+        core_id = core.core_id
+        if core_id in self._pending:
+            raise ProtocolError(f"core {core_id} already has a pending request")
+        self._admit(core, op, var)
+        if op == SEM_WAIT:
+            self.sem_initial.setdefault(var.addr, info)
+        self._pending[core_id] = callback
+        self._inject(core, Message(_REQUEST_OPCODES[op], var, core=core_id, info=info))
 
     def request_async(self, core, op, var, info) -> int:
-        msg = self._prepare(core, op, var, info)
-        self._inject(core, msg)
+        # req_async is release-type only: no semaphore initial value here.
+        self._admit(core, op, var)
+        self._inject(
+            core, Message(_REQUEST_OPCODES[op], var, core=core.core_id, info=info))
         # req_async commits once the message is issued (Sec. 4.1).
         return self.config.async_issue_cycles
 
     def inject_internal(self, se: SyncEngine, msg: Message) -> None:
-        """Route an SE-initiated request (hierarchical: stays at that SE)."""
+        """Route a request an SE issues on a core's behalf (condition
+        variables release / re-acquire the associated lock); hierarchical
+        designs handle it at that SE."""
         se.sim.schedule_at(se.sim.now + se._extra, se._enqueue, msg)
-
-    def wake(self, core_id: int) -> None:
-        callback = self._pending.pop(core_id, None)
-        if callback is None:
-            raise ProtocolError(f"grant for core {core_id} with no pending request")
-        callback()
 
     # ------------------------------------------------------------------
     def destroy_var(self, var: SyncVar) -> None:
@@ -423,7 +429,3 @@ class SynCronMechanism(MechanismBase):
         """Current memory value at an rmw-managed address (for tests and
         workload verification)."""
         return self._rmw_ext.value(addr) if self._rmw_ext else 0
-
-    # Diagnostics -------------------------------------------------------
-    def pending_cores(self):
-        return sorted(self._pending)

@@ -31,6 +31,10 @@ RESPONSE_BYTES = math.ceil(RESPONSE_BITS / 8)
 
 
 class Opcode(enum.Enum):
+    #: members compare by identity; this C hash skips ``Enum.__hash__``'s
+    #: Python frame on every opcode lookup.  No code iterates an opcode set.
+    __hash__ = object.__hash__
+
     # --- locks --------------------------------------------------------
     LOCK_ACQUIRE_LOCAL = enum.auto()
     LOCK_ACQUIRE_GLOBAL = enum.auto()

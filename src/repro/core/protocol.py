@@ -42,13 +42,9 @@ class ProtocolMixin:
     # Dispatch
     # ==================================================================
     def dispatch(self, msg: Message) -> None:
-        # _HANDLERS is built once at module load; every opcode is mapped, so
-        # the hot path is a single dict hit (KeyError would be kernel misuse).
-        try:
-            handler = _HANDLERS[msg.opcode]
-        except KeyError:  # pragma: no cover - all opcodes are mapped
-            raise ProtocolError(f"no handler for {msg.opcode}") from None
-        handler(self, msg)
+        # One dict hit: every opcode an SE can receive is mapped (core-bound
+        # grants are not, so a KeyError is kernel misuse).
+        _HANDLERS[msg.opcode](self, msg)
 
     # ==================================================================
     # Locks (Sec. 3.2 walk-through)
@@ -434,9 +430,8 @@ class ProtocolMixin:
         # lock must be released now (pthread_cond_wait semantics); the
         # enqueue above happens in the same SE service slot, so no signal
         # can slip between enqueue and release.
-        self._internal_request(
-            Message(Opcode.LOCK_RELEASE_LOCAL, lock_var, core=msg.core)
-        )
+        self.mech.inject_internal(
+            self, Message(Opcode.LOCK_RELEASE_LOCAL, lock_var, core=msg.core))
 
     def _on_cond_wait_global(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=True)
@@ -499,9 +494,8 @@ class ProtocolMixin:
         the lock).  Returns False when nobody was waiting."""
         if state.local_waitlist:
             core, lock_var = state.local_waitlist.popleft()
-            self._internal_request(
-                Message(Opcode.LOCK_ACQUIRE_LOCAL, lock_var, core=core)
-            )
+            self.mech.inject_internal(
+                self, Message(Opcode.LOCK_ACQUIRE_LOCAL, lock_var, core=core))
             return True
         if state.global_waitlist:
             item = state.global_waitlist.popleft()
@@ -519,15 +513,13 @@ class ProtocolMixin:
             raise ProtocolError(f"condvar grant with no local waiter ({msg.var.name})")
         core, lock_var = entry.local_waitlist.popleft()
         self.st.release_if_idle(entry)
-        self._internal_request(
-            Message(Opcode.LOCK_ACQUIRE_LOCAL, lock_var, core=core)
-        )
+        self.mech.inject_internal(
+            self, Message(Opcode.LOCK_ACQUIRE_LOCAL, lock_var, core=core))
 
     def _on_cond_grant_overflow(self, msg: Message) -> None:
         # Re-acquire the associated lock on behalf of the woken core.
-        self._internal_request(
-            Message(Opcode.LOCK_ACQUIRE_LOCAL, msg.info, core=msg.core)
-        )
+        self.mech.inject_internal(
+            self, Message(Opcode.LOCK_ACQUIRE_LOCAL, msg.info, core=msg.core))
 
     # ==================================================================
     # Reader-writer locks (generality extension; cf. LCU in Sec. 4.5)

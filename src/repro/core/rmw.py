@@ -69,7 +69,7 @@ class RmwExtension:
             self.stats.sync_messages_global += 1
 
         # Atomicity: serialize through the Master SE's service queue.
-        se = self.mech.se(master_unit)
+        se = self.mech.ses[master_unit]
         arrival = now + latency
         start = max(arrival, se._last_arrival.get(("rmw", core.core_id), 0) + 1)
         tenant = getattr(core, "tstats", None)

@@ -103,15 +103,21 @@ class NDPCore:
             # Everything this micro-step does inline (memory accesses,
             # mechanism request injection) is on this tenant's behalf.
             self.memsys.stats.active = tstats
-        op = self.process.resume(value)
-        if op is None:
+        # Process.resume, in this frame: it runs once per core micro-step.
+        process = self.process
+        if process.finished:
+            return
+        try:
+            op = process.send(value)
+        except StopIteration as stop:
+            process.stop(stop)
             return
         # Exact-type dispatch (one dict hit) with an isinstance fallback for
-        # subclassed operations; this runs once per core micro-step.
+        # subclassed operations; a yielded ``None`` parks the core.
         handler = _OP_DISPATCH.get(op.__class__)
         if handler is not None:
             handler(self, op)
-        else:
+        elif op is not None:
             self._advance_slow(op)
 
     def _advance_slow(self, op) -> None:
@@ -188,12 +194,8 @@ class NDPCore:
         self.sim.schedule(issue_stall + max(latency, 1), self._advance)
 
     def _issue_then(self, action, *args) -> None:
-        """Run ``action(*args)`` once the (possibly shared) pipeline issues
-        it.  On single-context cores (no port) this is a plain call — no
-        closure, no event."""
-        if self.port is None:
-            action(*args)
-            return
+        """Run ``action(*args)`` once the shared pipeline (``port``) issues
+        it; sole-owner cores call their action directly instead."""
         start = self.port.reserve(self.sim.now, 1)
         if start == self.sim.now:
             action(*args)
@@ -204,10 +206,11 @@ class NDPCore:
         self.instructions_retired += 1
         self.sync_requests_issued += 1
         self._waiting_since = self.sim.now
-        self._issue_then(
-            self.mechanism.request, self, op.op, op.var, op.info,
-            self._sync_granted,
-        )
+        if self.port is None:
+            self.mechanism.request(self, op.op, op.var, op.info, self._sync_granted)
+        else:
+            self._issue_then(self.mechanism.request, self, op.op, op.var,
+                             op.info, self._sync_granted)
 
     def _sync_granted(self) -> None:
         if self._waiting_since is not None:
@@ -218,7 +221,10 @@ class NDPCore:
     def _sync_async_op(self, op: SyncAsyncOp) -> None:
         self.instructions_retired += 1
         self.sync_requests_issued += 1
-        self._issue_then(self._issue_async, op)
+        if self.port is None:
+            self._issue_async(op)
+        else:
+            self._issue_then(self._issue_async, op)
 
     def _issue_async(self, op: SyncAsyncOp) -> None:
         issue_cost = self.mechanism.request_async(self, op.op, op.var, op.info)
@@ -229,10 +235,11 @@ class NDPCore:
         resumes with the old value."""
         self.instructions_retired += 1
         self._waiting_since = self.sim.now
-        self._issue_then(
-            self.mechanism.rmw, self, op.addr, op.op, op.operand,
-            self._rmw_granted,
-        )
+        if self.port is None:
+            self.mechanism.rmw(self, op.addr, op.op, op.operand, self._rmw_granted)
+        else:
+            self._issue_then(self.mechanism.rmw, self, op.addr, op.op,
+                             op.operand, self._rmw_granted)
 
     def _rmw_granted(self, old_value: int) -> None:
         if self._waiting_since is not None:

@@ -615,15 +615,15 @@ class Process:
     :meth:`resume` (optionally passing a value back into the generator).
     """
 
-    __slots__ = ("generator", "on_finish", "finished", "result", "_send")
+    __slots__ = ("on_finish", "finished", "result", "send")
 
     def __init__(self, generator: Any, on_finish: Optional[Callable[[], None]] = None):
-        self.generator = generator
         self.on_finish = on_finish
         self.finished = False
         self.result: Any = None
-        #: bound-method cache: resume() runs once per core operation.
-        self._send = generator.send
+        #: bound-method cache: the generator is resumed once per core
+        #: operation (``NDPCore._advance`` calls it in its own frame).
+        self.send = generator.send
 
     def resume(self, value: Any = None) -> Any:
         """Advance the generator; returns the next yielded operation.
@@ -634,10 +634,14 @@ class Process:
         if self.finished:
             return None
         try:
-            return self._send(value)
+            return self.send(value)
         except StopIteration as stop:
-            self.finished = True
-            self.result = getattr(stop, "value", None)
-            if self.on_finish is not None:
-                self.on_finish()
+            self.stop(stop)
             return None
+
+    def stop(self, stop: StopIteration) -> None:
+        """Record the generator's exhaustion and fire ``on_finish``."""
+        self.finished = True
+        self.result = getattr(stop, "value", None)
+        if self.on_finish is not None:
+            self.on_finish()

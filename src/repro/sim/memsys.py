@@ -14,9 +14,10 @@ Dirty-victim writebacks are accounted for in traffic/energy but overlap with
 execution (they do not add to the requesting core's latency), matching the
 usual write-back buffer assumption.
 
-:meth:`MemorySystem.access` resolves an uncacheable access in its own
-frame: the bakery baseline issues one per polled word (a scan is
-``2N`` of them), so that path is the hottest in the memory system.
+:meth:`MemorySystem.access` resolves both kinds of access in its own
+frame: the bakery baseline issues one uncacheable access per polled word
+(a scan is ``2N`` of them), and every server-core handler load or store
+is a cacheable one.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class MemorySystem:
     ) -> int:
         """Full latency in cycles of one core access issued at ``now``.
 
-        An uncacheable access is a request to the home unit, a word-grain
-        DRAM access there and the response back.
+        A cacheable access costs the L1 hit time, plus a line fill from
+        the home unit on a miss.  An uncacheable access is a request to the
+        home unit, a word-grain DRAM access there and the response back.
         """
         if for_sync:
             stats = self.stats
@@ -77,7 +79,14 @@ class MemorySystem:
             if tenant is not None:
                 tenant.sync_memory_accesses += 1
         if cacheable and l1 is not None:
-            return self._cacheable_access(src_unit, l1, addr, is_write, now)
+            result = l1.access(addr, is_write)
+            if result.hit:
+                return l1.hit_cycles
+            latency = l1.hit_cycles  # tag check before the miss goes out
+            latency += self._line_fill(src_unit, addr, now + latency)
+            if result.writeback_line is not None:
+                self._background_writeback(src_unit, result.writeback_line, now)
+            return latency
         interconnect = self.interconnect
         home = self.addrmap.unit_of(addr)
         payload = size if size > 8 else 8
@@ -91,17 +100,6 @@ class MemorySystem:
             home, src_unit, now + latency, response)
 
     # ------------------------------------------------------------------
-    def _cacheable_access(self, src_unit, l1, addr, is_write, now) -> int:
-        result = l1.access(addr, is_write)
-        if result.hit:
-            return l1.hit_cycles
-
-        latency = l1.hit_cycles  # tag check before the miss goes out
-        latency += self._line_fill(src_unit, addr, now + latency)
-        if result.writeback_line is not None:
-            self._background_writeback(src_unit, result.writeback_line, now)
-        return latency
-
     def _line_fill(self, src_unit: int, addr: int, now: int) -> int:
         """Request to home DRAM and 64 B line back."""
         interconnect = self.interconnect

@@ -156,10 +156,11 @@ class SystemStats:
     active: Optional[TenantStats] = None
 
     # Occupancy integrals, indexed by SE id: running max, sum over sampling
-    # points of occupied entries, and sample counts.
-    _occ_max: List[int] = field(default_factory=list)
-    _occ_sum: List[int] = field(default_factory=list)
-    _occ_samples: List[int] = field(default_factory=list)
+    # points of occupied entries, and sample counts.  Each SE samples its
+    # own slots once per serviced message (``SyncEngine._finish``).
+    occ_max: List[int] = field(default_factory=list)
+    occ_sum: List[int] = field(default_factory=list)
+    occ_samples: List[int] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     # Tenants
@@ -208,39 +209,32 @@ class SystemStats:
         }
 
     # ------------------------------------------------------------------
-    def record_st_occupancy(self, se_id: int, occupied: int) -> None:
-        """Sample an ST's occupancy (called by the SE on every message)."""
-        maxes = self._occ_max
-        if se_id >= len(maxes):
-            grow = se_id + 1 - len(maxes)
-            maxes.extend([0] * grow)
-            self._occ_sum.extend([0] * grow)
-            self._occ_samples.extend([0] * grow)
-        if occupied > maxes[se_id]:
-            maxes[se_id] = occupied
-        self._occ_sum[se_id] += occupied
-        self._occ_samples[se_id] += 1
+    def add_se(self, se_id: int) -> None:
+        """Size the occupancy integrals to cover SE ``se_id`` (called as
+        each SE is built, so per-message sampling never grows them)."""
+        for integral in (self.occ_max, self.occ_sum, self.occ_samples):
+            integral.extend([0] * (se_id + 1 - len(integral)))
 
     @property
     def st_occupancy_max(self) -> Dict[int, int]:
         """Max occupancy per SE id (dict view; only SEs that peaked above 0)."""
-        return {se_id: occ for se_id, occ in enumerate(self._occ_max) if occ > 0}
+        return {se_id: occ for se_id, occ in enumerate(self.occ_max) if occ > 0}
 
     def st_occupancy_avg(self, se_id: int) -> float:
-        if se_id >= len(self._occ_samples):
+        if se_id >= len(self.occ_samples):
             return 0.0
-        samples = self._occ_samples[se_id]
+        samples = self.occ_samples[se_id]
         if samples == 0:
             return 0.0
-        return self._occ_sum[se_id] / samples
+        return self.occ_sum[se_id] / samples
 
     def st_occupancy_summary(self, st_entries: int) -> Dict[str, float]:
         """Max/avg occupancy as percentages across all SEs (Table 7 rows)."""
-        total_samples = sum(self._occ_samples)
+        total_samples = sum(self.occ_samples)
         if total_samples == 0:
             return {"max_pct": 0.0, "avg_pct": 0.0}
-        max_occ = max(self._occ_max, default=0)
-        total_sum = sum(self._occ_sum)
+        max_occ = max(self.occ_max, default=0)
+        total_sum = sum(self.occ_sum)
         return {
             "max_pct": 100.0 * max_occ / st_entries,
             "avg_pct": 100.0 * (total_sum / total_samples) / st_entries,

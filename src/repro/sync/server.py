@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.engine import SyncEngine
+from repro.core.protocol import _HANDLERS
 from repro.sim.cache import L1Cache
 
 
@@ -57,7 +58,7 @@ class ServerEngine(SyncEngine):
     # ------------------------------------------------------------------
     def dispatch(self, msg) -> None:
         self._charge_state_access(msg.var)
-        super().dispatch(msg)
+        _HANDLERS[msg.opcode](self, msg)
 
     def _state_address(self, var) -> int:
         """Where this server keeps its bookkeeping for ``var``.
@@ -78,17 +79,15 @@ class ServerEngine(SyncEngine):
         return shadow
 
     def _charge_state_access(self, var) -> None:
-        """The software handler's loads/stores to synchronization state."""
+        """The software handler's loads/stores to synchronization state:
+        ``server_handler_accesses`` dependent accesses through the server's
+        L1, the last one a store."""
         addr = self._state_address(var)
-        accesses = self.config.server_handler_accesses
-        for i in range(accesses):
-            now = self.sim.now + self._extra
-            self._extra += self.mech.memsys.access(
-                self.unit,
-                self.l1,
-                addr,
-                is_write=(i == accesses - 1),
-                cacheable=True,
-                now=now,
-                for_sync=True,
-            )
+        access = self.mech.memsys.access
+        unit, l1, now = self.unit, self.l1, self.sim.now
+        last = self.config.server_handler_accesses - 1
+        extra = self._extra
+        for i in range(last + 1):
+            extra += access(unit, l1, addr, i == last, True, now + extra,
+                            for_sync=True)
+        self._extra = extra

@@ -106,10 +106,12 @@ class TestSEInternals:
                                           lambda: None)
 
     def test_wake_without_pending_raises(self, tiny_system):
+        """A grant for a core with no pending request fails when it is sent."""
         from repro.core.protocol import ProtocolError
 
+        se = tiny_system.mechanism.ses[0]
         with pytest.raises(ProtocolError):
-            tiny_system.mechanism.wake(99)
+            se.send_grant(99)
 
     def test_occupancy_sampled_per_message(self, tiny_system):
         lock = tiny_system.create_syncvar()
@@ -119,7 +121,56 @@ class TestSEInternals:
             yield api.lock_release(lock)
 
         tiny_system.run_programs({0: worker()})
-        assert tiny_system.stats.st_occupancy_max.get(lock.unit, 0) >= 1
+        stats = tiny_system.stats
+        assert stats.st_occupancy_max.get(lock.unit, 0) >= 1
+        for se in tiny_system.mechanism.ses:
+            assert stats.occ_samples[se.se_id] == se.messages_handled
+        assert sum(stats.occ_samples) >= 2
+
+    @pytest.mark.parametrize("mechanism,extra", [("syncron", 0), ("hier", 7)])
+    def test_service_loop_fifo_and_finish_times(self, tiny_config, mechanism,
+                                                extra):
+        """Pin the SE service loop: messages arriving while the SE is idle,
+        while it is busy, and in the same cycle as a ``_finish`` (queued
+        before it, or sent from inside it) are served in FIFO order, each
+        finishing ``service_cycles`` after its start; a handler that charged
+        ``extra`` memory cycles delays the next start by that much."""
+        system = build_system(tiny_config, mechanism)
+        se = system.mechanism.ses[0]
+        sim = system.sim
+        service = se.service_cycles
+        msgs = [Message(Opcode.LOCK_ACQUIRE_LOCAL, system.create_syncvar(unit=0),
+                        core=i) for i in range(5)]
+        served = []
+
+        def handler(msg):
+            served.append((msgs.index(msg), sim.now))
+            se._extra = extra
+            if msg is msgs[3]:
+                # arrives in this very cycle, after this _finish
+                se.receive(msgs[4], arrival=sim.now)
+
+        se.dispatch = handler
+        first_finish = 10 + service
+        arrivals = [10,                   # idle SE
+                    12,                   # busy: queued
+                    first_finish,         # same cycle as msgs[0]'s _finish
+                    10 + 10 * (service + extra)]  # idle again
+        for msg, arrival in zip(msgs, arrivals):
+            se.receive(msg, arrival=arrival)
+        sim.run()
+
+        expected, free = [], 0
+        for i, arrival in enumerate(arrivals + [None]):
+            if arrival is None:  # msgs[4]: sent when msgs[3] finishes
+                arrival = expected[3][1]
+            finish = max(arrival, free) + service
+            expected.append((i, finish))
+            free = finish + extra
+        assert served == expected
+        assert not se._busy
+        assert not se._queue
+        assert se.messages_handled == 5
 
 
 class TestApiHelpers:

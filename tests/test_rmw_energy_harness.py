@@ -124,9 +124,11 @@ class TestEnergyModel:
 class TestStats:
     def test_occupancy_summary(self):
         stats = SystemStats()
-        stats.record_st_occupancy(0, 10)
-        stats.record_st_occupancy(0, 20)
-        stats.record_st_occupancy(1, 40)
+        stats.add_se(1)
+        # SE 0 sampled at occupancies 10 and 20, SE 1 once at 40.
+        stats.occ_max[:] = [20, 40]
+        stats.occ_sum[:] = [30, 40]
+        stats.occ_samples[:] = [2, 1]
         summary = stats.st_occupancy_summary(64)
         assert summary["max_pct"] == pytest.approx(100 * 40 / 64)
         assert stats.st_occupancy_avg(0) == pytest.approx(15.0)
